@@ -1,16 +1,23 @@
 """Priority-queue sieves: the faithful incremental Eratosthenes and the
 two Euler-style variants that replace its multiples generators.
 
-The queue maps each prime's next composite (the key) to the generator
-that produces that prime's later composites. For every candidate: below
-the minimum key it is prime; otherwise the matching generators advance
-via a combined delete-min-and-insert (a root replacement, not pop+push).
+All three run on one postponed driver (O'Neill, "The Genuine Sieve of
+Eratosthenes", JFP 2009, with Will Ness's postponement). The queue maps
+each base prime's next composite (the key) to the iterator of that
+prime's later composites. A candidate is prime unless it equals the
+minimum key; when it does, every entry with that key advances in place.
 
-Entries are inserted only once candidates reach the prime's square, so
-the queue holds one generator per prime whose square has been passed --
-about pi(sqrt(n)) entries while sieving to n. All three flavours count a
-prime's first key p*p in `RunCounters` at that point, when the candidates
-reach p*p, not when p itself is found.
+Base primes are postponed: the driver holds the next base prime p and
+inserts its entry, with first key p*p, only when the candidates reach
+p*p. The following base prime then comes from a second, uncounted
+instance of the same sieve, created at that point and sieving only up to
+the square root of the first; it in turn feeds from a third, and so on.
+Primes above the square root of the candidates leave no state behind, so
+the queue holds about pi(sqrt(n)) entries while sieving to n, and the
+queue state is O(pi(sqrt(n))), apart from WPQ's wheel memos and EPQ's
+survivor windows. All three flavours count a prime's first key p*p in
+`RunCounters` when the candidates reach p*p; the inner instances count
+nothing.
 
 Three flavours of entry:
   oneill  values p*p + p, p*p + 2p, ... (with w4: p times the coprime
@@ -18,133 +25,141 @@ Three flavours of entry:
           reached once per factor
   epq     the erased-set streams of the survivor induction; disjoint, so
           every composite enters the queue exactly once
-  wpq     the same sets as cyclic delta streams scaled from the rolling
-          wheel, advanced key+delta; O(1) state per entry
+  wpq     the same sets as the rolling wheel's gaps scaled by p and
+          summed from p*p; O(1) state per entry plus one lazy wheel per
+          base prime
 """
 
 import heapq
 from collections import deque
-from itertools import count, islice, tee
+from itertools import accumulate, count, cycle, islice
 
 from .sieves import Variant
-from .streams import count_from, ensure_recursion_room, s_minus, scaled, replay
+from .streams import count_from, ensure_recursion_room, scaled, replay
 from .wheels import _w4_offsets, cyc, next_wheel_deltas, s4_stream, shared_deltas, wheel4
 
 
 class CompositePQ:
-    """Min-heap of (next composite, generator) entries.
+    """Min-heap of base-prime entries, each keyed by its next composite.
 
-    Arbitrary keys may be inserted; duplicate keys are allowed and pop
-    order among equals is unspecified. Reading the minimum of an empty
-    queue raises IndexError.
+    An entry is [key, p, keys]: `keys` iterates p's composites after
+    `key` in increasing order. Ties on the key break on p, which is
+    distinct, so the iterators are never compared.
     """
 
-    __slots__ = ("_heap", "_tick", "_counters")
+    __slots__ = ("_heap", "_counters")
 
     def __init__(self, counters=None):
         self._heap = []
-        self._tick = count()
         self._counters = counters
 
     def __len__(self):
         return len(self._heap)
 
-    def __bool__(self):
-        return bool(self._heap)
-
-    def insert(self, key, gen):
-        heapq.heappush(self._heap, [key, next(self._tick), gen])
+    def insert(self, p, keys):
+        """Add base prime p at key p*p; `keys` yields its later composites."""
+        key = p * p
+        heapq.heappush(self._heap, [key, p, keys])
         c = self._counters
         if c is not None:
             c.born(key)
             c.pq_size = len(self._heap)
 
-    def min_item(self):
-        entry = self._heap[0]
-        return entry[0], entry[2]
+    def cross_off(self, c):
+        """Advance every entry keyed c; True when there was one.
 
-    def min_key(self):
-        return self._heap[0][0]
+        Keys are always candidates, so none is ever below `c`.
+        """
+        heap = self._heap
+        if not heap or heap[0][0] != c:
+            return False
+        counters = self._counters
+        while True:
+            entry = heap[0]
+            entry[0] = key = next(entry[2])
+            heapq.heapreplace(heap, entry)
+            if counters is not None:
+                counters.note_pop(c)
+                counters.born(key)
+            if heap[0][0] != c:
+                return True
 
-    def replace_min(self, key, gen):
-        """Delete the minimum and insert in one root replacement."""
-        entry = self._heap[0]
-        old = entry[0]
-        entry[0] = key
-        entry[1] = next(self._tick)
-        entry[2] = gen
-        heapq.heapreplace(self._heap, entry)
-        c = self._counters
-        if c is not None:
-            c.note_pop(old)
-            c.born(key)
+
+def _postponed(w4, multiples, counters, sieve):
+    """The candidate loop shared by every queue sieve.
+
+    `multiples(p)` returns base prime p's keys after p*p; it is called in
+    increasing order of p. `sieve()` makes the uncounted instance that
+    feeds the later base primes.
+    """
+    ensure_recursion_room()
+    pq = CompositePQ(counters)
+    insert, cross_off = pq.insert, pq.cross_off
+    if w4:
+        yield from (2, 3, 5, 7)
+        cand = s4_stream()
+    else:
+        cand = count_from(2)
+    p = next(cand)
+    yield p
+    q = p * p
+    feed = None
+    for c in cand:
+        if c < q:
+            if not cross_off(c):
+                yield c
+            continue
+        insert(p, multiples(p))
+        cross_off(c)
+        if feed is None:
+            # the inner instance repeats the primes up to p first
+            feed = islice(sieve(), 5 if w4 else 1, None)
+        p = next(feed)
+        q = p * p
 
 
-def _wheel_multiples(p, phase, deltas):
-    # p times the coprime survivors past p, resuming the wheel mid-phase
-    pos = p
-    i = phase
-    n = len(deltas)
-    while True:
-        pos += deltas[i]
-        i += 1
-        if i == n:
-            i = 0
-        yield p * pos
+def _after_square(keys):
+    # drop the leading p*p of an `accumulate(..., initial=p*p)`
+    next(keys)
+    return keys
 
 
 def oneill_sieve(w4=False, counters=None):
     """The faithful incremental Sieve of Eratosthenes.
 
-    On finding a prime p, schedule key p*p with the stream of further
-    multiples: steps of p, or p times the wheel survivors past p when
-    mounted on w_4.
+    Base prime p's entry holds the further multiples of p: steps of p, or
+    p times the wheel survivors past p when mounted on w_4.
     """
+    if w4:
+        offsets = _w4_offsets()
+        deltas = wheel4().deltas
 
-    def gen():
-        ensure_recursion_room()
-        pq = CompositePQ(counters)
-        pending = deque()
-        if w4:
-            yield from (2, 3, 5, 7)
-            cand = s4_stream()
-            offsets = _w4_offsets()
-            deltas = wheel4().deltas
-        else:
-            cand = count_from(2)
-        for c in cand:
-            while pending and pending[0][0] <= c:
-                key, vals = pending.popleft()
-                pq.insert(key, vals)
-            if pq and pq.min_key() <= c:
-                while pq.min_key() <= c:
-                    _, g = pq.min_item()
-                    pq.replace_min(next(g), g)
-            else:
-                yield c
-                if w4:
-                    vals = _wheel_multiples(c, offsets[c % 210], deltas)
-                else:
-                    vals = count_from(c * c + c, c)
-                pending.append((c * c, vals))
+        def multiples(p):
+            # resume the wheel at p's phase, every gap scaled by p
+            i = offsets[p % 210]
+            gaps = [p * d for d in deltas[i:] + deltas[:i]]
+            return _after_square(accumulate(cycle(gaps), initial=p * p))
+    else:
 
-    return gen()
+        def multiples(p):
+            return count(p * p + p, p)
+
+    return _postponed(w4, multiples, counters, lambda: oneill_sieve(w4))
 
 
 class _ErasedCascade:
     """The survivor/erased plumbing of the queue-based Euler sieve.
 
-    Every discovered prime c adds a round that (a) turns the values still
-    surviving the earlier rounds into the erased stream c * survivors and
-    (b) removes exactly that stream from the values handed to later
+    Every base prime adds a round that (a) turns the values still
+    surviving the earlier rounds into the erased stream prime * survivors
+    and (b) removes exactly that stream from the values handed to later
     rounds. Written with nested stream differences the demand chain gets
-    one frame deeper per prime, which the interpreter cannot walk at desk
-    scale, so the same dataflow runs here as one flat sweep: each value
-    pulled from the base is multiplied into the feed of every round it
-    survives and dropped at the round whose erased head it matches. The
-    per-round feeds retain exactly the window the shared lazy streams
-    would, which is why this sieve's memory grows the way the survivor
-    induction's does.
+    one frame deeper per round, so the same dataflow runs here as one flat
+    sweep: each value pulled from the base is multiplied into the feed of
+    every round it survives and dropped at the round whose erased head it
+    matches. The per-round feeds retain exactly the window the shared lazy
+    streams would, which is why this sieve's memory grows the way the
+    survivor induction's does.
     """
 
     __slots__ = ("_base", "_rounds", "_counters")
@@ -157,21 +172,22 @@ class _ErasedCascade:
         self._counters = counters
 
     def open_round(self, prime):
-        """Start erasing with `prime`; returns its first key, prime**2.
+        """Start erasing with `prime`; returns its erased values after prime**2.
 
         The square seeds the round's own filter (the erased set's source
-        starts at the prime itself); the queue sees it as the returned
-        key, so the queue feed carries only the later erased values.
+        starts at the prime itself); the queue enters it as the entry's
+        first key, so the queue feed carries only the later erased values.
+        Rounds must open in increasing order of their primes.
         """
         self._rounds.append([prime, prime * prime, deque(), deque(), deque()])
-        return prime * prime
+        return self._erased(len(self._rounds) - 1)
 
-    def next_erased(self, index):
-        """The next queue value of round `index` (0-based)."""
+    def _erased(self, index):
         feed = self._rounds[index][3]
-        while not feed:
-            self._advance(index)
-        return feed.popleft()
+        while True:
+            while not feed:
+                self._advance(index)
+            yield feed.popleft()
 
     def _advance(self, k):
         """Feed one more survivor of the earlier rounds into round k."""
@@ -213,84 +229,32 @@ class _ErasedCascade:
 def epq_sieve(w4=False, counters=None):
     """Sieve ES on a priority queue.
 
-    On finding prime p with the survivors of the previous rounds headed
-    by p itself, schedule key p*p with the rest of the erased set
-    p * survivors, and hand later rounds the survivors past p with that
-    set removed. Crossing-off pops the minimum and reinserts at the
-    generator's next value.
+    Base prime p, heading the survivors of the previous rounds, gets key
+    p*p with the rest of the erased set p * survivors, and later rounds
+    get the survivors past p with that set removed. The cascade reads
+    its own copy of the candidates after the first.
     """
-
-    def gen():
-        ensure_recursion_room()
-        pq = CompositePQ(counters)
-        pending = deque()
-        if w4:
-            yield from (2, 3, 5, 7)
-            cand = s4_stream()
-        else:
-            cand = count_from(2)
-        walk, base = tee(cand)
-        first = next(walk)
-        yield first
-        # `walk` has already yielded the first candidate; the cascade starts
-        # one element later on its copy
-        cascade = _ErasedCascade(islice(base, 1, None), counters)
-        pending.append((cascade.open_round(first), 0))
-        index = 1
-        for c in walk:
-            while pending and pending[0][0] <= c:
-                key, i = pending.popleft()
-                pq.insert(key, _erased_values(cascade, i))
-            if pq and pq.min_key() <= c:
-                while pq.min_key() <= c:
-                    _, g = pq.min_item()
-                    pq.replace_min(next(g), g)
-            else:
-                yield c
-                pending.append((cascade.open_round(c), index))
-                index += 1
-
-    return gen()
-
-
-def _erased_values(cascade, index):
-    while True:
-        yield cascade.next_erased(index)
+    base = islice(s4_stream(), 1, None) if w4 else count_from(3)
+    cascade = _ErasedCascade(base, counters)
+    return _postponed(w4, cascade.open_round, counters, lambda: epq_sieve(w4))
 
 
 def wpq_sieve(w4=False, counters=None):
-    """Sieve W on a priority queue: entries hold cyclic delta streams.
+    """Sieve W on a priority queue: entries sum the rolling wheel's gaps.
 
-    On finding prime p the stored value is the wheel's gaps scaled by p;
-    advancement adds the next delta to the popped key, so each entry is
-    O(1) state plus one shared wheel per round.
+    Base prime p's keys are p*p plus the running sums of the current
+    wheel's gaps scaled by p; the wheel then rolls on past p, once per
+    base prime.
     """
+    wheel = shared_deltas(wheel4() if w4 else (1,), counters)
 
-    def gen():
-        ensure_recursion_room()
-        pq = CompositePQ(counters)
-        pending = deque()
-        if w4:
-            yield from (2, 3, 5, 7)
-            cand = s4_stream()
-            wheel = shared_deltas(wheel4(), counters)
-        else:
-            cand = count_from(2)
-            wheel = shared_deltas((1,), counters)
-        for c in cand:
-            while pending and pending[0][0] <= c:
-                key, deltas = pending.popleft()
-                pq.insert(key, deltas)
-            if pq and pq.min_key() <= c:
-                while pq.min_key() <= c:
-                    k, g = pq.min_item()
-                    pq.replace_min(k + next(g), g)
-            else:
-                yield c
-                pending.append((c * c, scaled(c, cyc(wheel))))
-                wheel = replay(next_wheel_deltas(wheel, c), counters)
+    def multiples(p):
+        nonlocal wheel
+        keys = accumulate(scaled(p, cyc(wheel)), initial=p * p)
+        wheel = replay(next_wheel_deltas(wheel, p), counters)
+        return _after_square(keys)
 
-    return gen()
+    return _postponed(w4, multiples, counters, lambda: wpq_sieve(w4))
 
 
 PQ_VARIANTS = {

@@ -58,7 +58,9 @@ class RunCounters:
     and `popped`, when enabled, record per-value multiplicities.
 
     A queue sieve's first key for prime p is p*p; it enters the queue, and
-    is counted, when the candidates reach p*p, not when p is found.
+    is counted, when the candidates reach p*p, not when p is found. A
+    queue sieve's counters cover the outer instance only: the inner
+    instances that feed it base primes run uncounted.
     """
 
     composites: int = 0
@@ -102,11 +104,6 @@ def count_from(start, step=1):
 def take(stream, n):
     """Materialize the first n elements."""
     return list(islice(stream, n))
-
-
-def drop(stream, n):
-    """The stream without its first n elements."""
-    return islice(stream, n, None)
 
 
 def nth(stream, n):
@@ -301,18 +298,24 @@ def union_p(xs, ys, counters=None):
     """`union` that emits the head of xs before ever inspecting ys.
 
     The caller guarantees head(xs) < head(ys); this is what keeps a right
-    fold over infinitely many streams productive.
+    fold over infinitely many streams productive. An empty xs passes ys
+    through.
     """
-    xs = iter(xs)
-    yield next(xs)
-    yield from union(xs, ys, counters)
+    return _head_first(union, xs, ys, counters)
 
 
 def d_union_p(xs, ys, counters=None):
     """`d_union` variant of `union_p`."""
+    return _head_first(d_union, xs, ys, counters)
+
+
+def _head_first(merge, xs, ys, counters):
     xs = iter(xs)
-    yield next(xs)
-    yield from d_union(xs, ys, counters)
+    for x in xs:
+        yield x
+        yield from merge(xs, ys, counters)
+        return
+    yield from ys
 
 
 def minus(xs, ys, counters=None):

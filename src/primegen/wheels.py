@@ -85,16 +85,16 @@ def _merge_multiple_gaps(deltas, start, p):
 
 
 def _rotated_copies(shared, p):
-    # p copies of the wheel with its first gap moved to the end
-    first = shared.reader()
-    head = next(first)
-    yield from first
-    yield head
-    for _ in range(p - 1):
+    # p copies of the wheel with its first gap moved to the end; nothing
+    # at all for an empty wheel
+    for _ in range(p):
         r = shared.reader()
-        h = next(r)
+        for head in r:
+            break
+        else:
+            return
         yield from r
-        yield h
+        yield head
 
 
 def next_wheel_deltas(shared, p, np=None):
@@ -117,7 +117,11 @@ _FROM_HEAD = object()
 
 def _next_wheel_gaps(shared, p, start):
     if start is _FROM_HEAD:
-        start = p + next(shared.reader())
+        for head in shared.reader():
+            break
+        else:
+            raise StreamError("cannot merge an empty wheel")
+        start = p + head
     yield from _merge_multiple_gaps(_rotated_copies(shared, p), start, p)
 
 

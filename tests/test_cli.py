@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,20 @@ def test_verify_pq_variant_gets_queue_check(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "wpq", "--n", "2000",
                        "--bound", "500")
     assert code == 0 and "PASS wpq/queue" in out
+
+
+def test_verify_queue_variants_without_asserts():
+    # under -O the cascade's precondition assert is gone; the checks must
+    # still pass on the code that remains
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "primegen", "verify",
+         "--algo", "on,on4,wpq,wpq4,epq,epq4", "--n", "2000", "--bound", "2000"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
 
 
 def test_verify_empty_variant_list_is_usage_error(capsys):

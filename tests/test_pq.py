@@ -1,7 +1,11 @@
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
+from itertools import count, islice
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primegen import oracle
 from primegen.pq import CompositePQ, PQ_VARIANTS, epq_sieve, oneill_sieve, wpq_sieve
@@ -11,33 +15,39 @@ from primegen.streams import RunCounters, take
 
 def test_pq_basic_ops():
     q = CompositePQ()
-    q.insert(4, "g")
-    assert q.min_item() == (4, "g")
-    q.insert(9, "h")
-    q.insert(4, "g2")  # duplicate keys allowed
-    assert q.min_key() == 4
-    assert len(q) == 3
+    q.insert(2, iter([6, 8, 10]))  # first key is the square, 4
+    q.insert(3, iter([12]))
+    assert len(q) == 2
+    assert [c for c in range(2, 9) if q.cross_off(c)] == [4, 6, 8]
+    assert len(q) == 2
 
 
 def test_pq_insert_below_current_min():
     q = CompositePQ()
-    q.insert(9, "h")
-    q.insert(4, "g")
-    assert q.min_key() == 4
+    q.insert(3, iter([12]))
+    q.insert(2, iter([6, 8, 10]))
+    assert not q.cross_off(3)
+    assert [c for c in range(4, 10) if q.cross_off(c)] == [4, 6, 8, 9]
 
 
-def test_pq_replace_min():
+def test_pq_cross_off_advances_every_tied_entry():
+    counters = RunCounters.with_tally()
+    q = CompositePQ(counters)
+    q.insert(2, count(6, 2))
+    q.insert(3, count(12, 3))
+    crossed = [c for c in range(2, 13) if q.cross_off(c)]
+    assert crossed == [4, 6, 8, 9, 10, 12]
+    assert counters.popped[12] == 2  # once per entry keyed 12
+    assert counters.tally[4] == counters.tally[9] == 1  # squares at insert
+    assert counters.pq_size == 2
+    assert counters.pop_inversions == 0
+    assert q.cross_off(14) and q.cross_off(15)
+
+
+def test_pq_empty_queue_crosses_off_nothing():
     q = CompositePQ()
-    q.insert(4, "g")
-    q.insert(9, "h")
-    q.replace_min(6, "g'")
-    assert q.min_item() == (6, "g'")
-    assert len(q) == 2
-
-
-def test_pq_empty_min_is_an_error():
-    with pytest.raises(IndexError):
-        CompositePQ().min_item()
+    assert not q.cross_off(4)
+    assert len(q) == 0
 
 
 @pytest.mark.parametrize("w4", [False, True])
@@ -132,3 +142,39 @@ def test_queue_shape_and_pop_order(name, primes10k):
         expect -= 4
     assert abs(counters.pq_size - expect) <= 1
     assert counters.pop_inversions == 0
+
+
+# prefixes that end just past the squares where the postponed feed is first
+# created and advanced: 4 and 9 plain, 121 and 169 on the wheel
+@given(n=st.integers(1, 3000))
+@example(n=3)
+@example(n=5)
+@example(n=31)
+@example(n=40)
+@settings(max_examples=40, deadline=None)
+def test_every_queue_variant_matches_oracle_prefix(n):
+    expect = oracle.first_primes(n)
+    for name, variant in PQ_VARIANTS.items():
+        counters = RunCounters()
+        assert take(variant.factory(counters=counters), n) == expect, name
+        assert counters.pop_inversions == 0, name
+
+
+def _traced_peak(variant, n):
+    tracemalloc.start()
+    try:
+        deque(islice(variant.factory(), n), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["on", "on4"])
+def test_oneill_queue_state_grows_slowly(name):
+    small, large = (_traced_peak(PQ_VARIANTS[name], n) for n in (2**12, 2**14))
+    assert large <= 2.5 * small
+
+
+@pytest.mark.parametrize("name", ["wpq", "wpq4", "epq4"])
+def test_euler_queue_state_stays_small(name):
+    assert _traced_peak(PQ_VARIANTS[name], 2**14) < 4 * 2**20

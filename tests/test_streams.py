@@ -121,6 +121,12 @@ def test_d_union_p_single_then_rest():
     assert list(d_union_p(iter([3]), iter([5, 7]))) == [3, 5, 7]
 
 
+@pytest.mark.parametrize("merge", [union_p, d_union_p])
+@pytest.mark.parametrize("ys", [[], [1], [1, 3]])
+def test_head_first_union_of_empty_passes_right_through(merge, ys):
+    assert list(merge([], iter(ys))) == ys
+
+
 def test_circ_examples():
     assert take(circ([2, 4]), 5) == [2, 4, 2, 4, 2]
     assert take(circ([1]), 3) == [1, 1, 1]

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from primegen import oracle
-from primegen.streams import StreamOverflow, replay, spin, take
+from primegen.streams import StreamError, StreamOverflow, replay, spin, take
 from primegen.wheels import (
     Wheel,
     coprime_gaps,
@@ -49,6 +49,12 @@ def test_next_wheel_paper_example():
 
 def test_next_wheel_empty_is_wheel_zero():
     assert next_wheel(Wheel((), None), 5, 7).deltas == (1,)
+
+
+@pytest.mark.parametrize("np", [None, 3])
+def test_next_wheel_deltas_of_empty_wheel_is_an_error(np):
+    with pytest.raises(StreamError, match="empty wheel"):
+        next(next_wheel_deltas(replay(iter(())), 2, np))
 
 
 def test_next_wheel_from_wheel_zero():
