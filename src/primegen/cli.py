@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt
 
-from . import oracle
-from .pq import PQ_VARIANTS
-from .sieves import STREAM_VARIANTS, VariantCapExceeded
+from . import ALL_VARIANTS, oracle
+from .sieves import VariantCapExceeded
 from .streams import RunCounters, StreamError, StreamOverflow, take
 from .wheels import Wheel, next_wheel1, wheel_from_primes, wheel4
 
@@ -47,12 +46,6 @@ EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "epq", "wpq",
                   "epq4", "wpq4")
 CAPPED = ("turner", "naive-euler")
 CAPPED_LIMIT = 2_000
-
-
-def all_variants():
-    merged = dict(STREAM_VARIANTS)
-    merged.update(PQ_VARIANTS)
-    return merged
 
 
 class UsageError(Exception):
@@ -96,14 +89,13 @@ class BenchReport:
 
 def resolve_variant(name, wheel=None):
     name = name.strip().lower()
-    variants = all_variants()
     if wheel == 4 and not name.endswith("4"):
         name += "4"
-    if name not in variants:
+    if name not in ALL_VARIANTS:
         raise UsageError(
             "unknown variant %r (choose from %s)"
-            % (name, ", ".join(sorted(variants))))
-    return variants[name]
+            % (name, ", ".join(sorted(ALL_VARIANTS))))
+    return ALL_VARIANTS[name]
 
 
 def run_to_nth(variant, n, counters=None, timeout_s=None):
@@ -146,7 +138,7 @@ def primes_up_to_bound(variant, bound, counters=None):
             break
         out.append(p)
     if counters is not None:
-        counters.pulls += len(out) + 1
+        counters.pulls += len(out)
     return out
 
 
@@ -253,7 +245,7 @@ def _variant_list(args, default):
     return [resolve_variant(name, args.wheel) for name in names]
 
 
-def run_bench(variants, ns, repeats, timeout_s, parallel=False):
+def run_bench(variants, ns, repeats, timeout_s):
     """One warm-up plus `repeats` timed runs per (variant, n) cell."""
     rows = []
     timeouts = set()
@@ -273,23 +265,11 @@ def run_bench(variants, ns, repeats, timeout_s, parallel=False):
         return RunStats(variant=variant.label, n=n,
                         nth_prime=stats.nth_prime, wall_ns=median)
 
-    def run_variant(variant):
-        out = []
+    for variant in variants:
         for n in ns:
             cell = run_cell(variant, n)
             if cell is not None:
-                out.append(cell)
-        return out
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(variants)) as pool:
-            for chunk in pool.map(run_variant, variants):
-                rows.extend(chunk)
-    else:
-        for variant in variants:
-            rows.extend(run_variant(variant))
+                rows.append(cell)
     env = "%s / Python %s" % (platform.platform(), platform.python_version())
     return BenchReport(rows=rows, timeouts=timeouts, environment=env,
                        repeats=repeats)
@@ -348,7 +328,7 @@ def cmd_bench(args):
     else:
         ns = [1 << e for e in _parse_exponents(args.exponents)]
     report = run_bench(variants, ns, repeats=args.repeats,
-                       timeout_s=args.timeout, parallel=args.parallel)
+                       timeout_s=args.timeout)
     sys.stdout.write(format_bench(report, variants, ns, args.format,
                                   paper=args.paper_format))
     return EXIT_OK
@@ -477,7 +457,7 @@ def run_verify(variants, n, bound, out=None):
 
 
 def cmd_verify(args):
-    variants = _variant_list(args, default=list(all_variants()))
+    variants = _variant_list(args, default=list(ALL_VARIANTS))
     n = args.n if args.n is not None else 100_000
     bound = args.bound if args.bound is not None else 10_000
     failures = run_verify(variants, n, bound)
@@ -538,8 +518,6 @@ def build_parser():
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.add_argument("--timeout", type=float, default=60.0,
                          help="per-run cell timeout in seconds")
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run variants on separate threads")
     p_bench.add_argument("--paper-format", action="store_true",
                          help="print cells as minute'second^tenth")
     p_bench.set_defaults(fn=cmd_bench)

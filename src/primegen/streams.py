@@ -2,8 +2,8 @@
 
 Streams are plain Python iterators of weakly increasing 64-bit naturals,
 pulled one element at a time. This module provides the merge/difference
-combinators the sieves are built from, precondition-specialised fast paths
-(`d_union`, `s_minus`), a productivity-preserving fold over a stream of
+combinators the sieves are built from (one merge loop and one difference
+loop serve them all), a productivity-preserving fold over a stream of
 streams, cyclic wheel rolling, and `StreamFixpoint`, which makes the
 sharing implicit in self-referential definitions ("primes defined in terms
 of primes") explicit via a replayable memo buffer.
@@ -11,12 +11,12 @@ of primes") explicit via a replayable memo buffer.
 Conventions:
   * inputs to `d_union`/`s_minus`/`minus` must be strictly increasing;
   * `d_union` additionally requires disjoint inputs and `s_minus` requires
-    the second stream to be a subset of the first -- violations trip an
-    `assert` in debug runs and fall back to the permissive arm under -O;
+    the second stream to be a subset of the first -- asserts guard both
+    preconditions, and under -O a violation gives the `union`/`minus`
+    output;
   * elements are unsigned 64-bit; growing past 2**64-1 raises
     `StreamOverflow` rather than wrapping.
 """
-
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,10 +52,12 @@ class RunCounters:
     """Optional instrumentation shared by one sieve instance.
 
     `composites` counts generation events (a value entering a composites
-    stream, or a key entering a priority queue); `comparisons` counts head
-    comparisons inside the merge/difference loops; `buffered`/`peak_buffer`
-    track memoized elements across fixpoint and replay buffers. `tally`
-    and `popped`, when enabled, record per-value multiplicities.
+    stream, or a key entering a priority queue); `comparisons` counts
+    elements pulled into a merge or difference loop (in a fold, once per
+    level an element crosses); `pulls` counts primes delivered;
+    `buffered`/`peak_buffer` track memoized elements across fixpoint and
+    replay buffers. `tally` and `popped`, when enabled, record per-value
+    multiplicities.
 
     A queue sieve's first key for prime p is p*p; it enters the queue, and
     is counted, when the candidates reach p*p, not when p is found. A
@@ -140,6 +142,11 @@ def _counted(source, counters):
 
 # ---------------------------------------------------------------------------
 # merge / difference combinators
+#
+# One merge loop and one difference loop serve every combinator. A
+# precondition flag is read only on the arm that valid input never takes,
+# so `d_union` and `s_minus` make the comparisons `union` and `minus` make,
+# and under -O a broken precondition gives the union or minus output.
 
 
 def union(xs, ys, counters=None):
@@ -148,12 +155,45 @@ def union(xs, ys, counters=None):
     Shared values are emitted once. Finite inputs are handled: once one
     side ends the other is passed through.
     """
-    if counters is not None:
-        return _merged(iter(xs), iter(ys), counters, False)
-    return _union_fast(iter(xs), iter(ys))
+    return _merge(*_inputs(xs, ys, counters), False)
 
 
-def _union_fast(xs, ys):
+def d_union(xs, ys, counters=None):
+    """Merge of *disjoint* strictly increasing streams.
+
+    A shared element trips an `assert`; under -O it is emitted once, as
+    `union` would emit it.
+    """
+    return _merge(*_inputs(xs, ys, counters), True)
+
+
+def _inputs(xs, ys, counters):
+    if counters is None:
+        return iter(xs), iter(ys)
+    return _pulled(xs, counters), _pulled(ys, counters)
+
+
+def _pulled(source, counters):
+    # one `comparisons` tick per element handed to a merge or difference loop
+    for v in source:
+        counters.comparisons += 1
+        yield v
+
+
+def _merge(xs, ys, disjoint, streams=None, counters=None):
+    if streams is not None:
+        # a fold node: xs is the next non-empty stream, and its head goes
+        # out before ys, the rest of the fold, is even built
+        for xs in streams:
+            x = next(xs, None)
+            if x is not None:
+                break
+        else:
+            return
+        yield x
+        ys = _merge(None, None, disjoint, streams, counters)
+        if counters is not None:
+            ys = _pulled(ys, counters)
     nx = xs.__next__
     ny = ys.__next__
     try:
@@ -185,101 +225,7 @@ def _union_fast(xs, ys):
                 yield from xs
                 return
         else:
-            yield x
-            try:
-                x = nx()
-            except StopIteration:
-                yield from ys
-                return
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
-
-
-def d_union(xs, ys, counters=None):
-    """Merge of *disjoint* strictly increasing streams.
-
-    The equal-heads case is never consulted; under -O an equal pair
-    degrades to emitting ys's copy first (the permissive arm).
-    """
-    if counters is not None:
-        return _merged(iter(xs), iter(ys), counters, True)
-    return _d_union_fast(iter(xs), iter(ys))
-
-
-def _d_union_fast(xs, ys):
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        yield from ys
-        return
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from xs
-        return
-    while True:
-        if x < y:
-            yield x
-            try:
-                x = nx()
-            except StopIteration:
-                yield y
-                yield from ys
-                return
-        else:
-            assert y < x, "d_union: inputs are not disjoint (both contain %d)" % x
-            yield y
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
-
-
-def _merged(xs, ys, counters, disjoint):
-    # instrumented merge; one `comparisons` tick per head-to-head decision
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        yield from ys
-        return
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from xs
-        return
-    while True:
-        counters.comparisons += 1
-        if x < y:
-            yield x
-            try:
-                x = nx()
-            except StopIteration:
-                yield y
-                yield from ys
-                return
-        elif disjoint or y < x:
-            assert not disjoint or y < x, (
-                "d_union: inputs are not disjoint (both contain %d)" % x)
-            yield y
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
-        else:
+            assert not disjoint, "disjoint merge: both inputs contain %d" % x
             yield x
             try:
                 x = nx()
@@ -299,84 +245,31 @@ def union_p(xs, ys, counters=None):
 
     The caller guarantees head(xs) < head(ys); this is what keeps a right
     fold over infinitely many streams productive. An empty xs passes ys
-    through.
+    through. It is the fold of the two streams.
     """
-    return _head_first(union, xs, ys, counters)
+    return fold_union_p((iter(xs), iter(ys)), False, counters)
 
 
 def d_union_p(xs, ys, counters=None):
     """`d_union` variant of `union_p`."""
-    return _head_first(d_union, xs, ys, counters)
-
-
-def _head_first(merge, xs, ys, counters):
-    xs = iter(xs)
-    for x in xs:
-        yield x
-        yield from merge(xs, ys, counters)
-        return
-    yield from ys
+    return fold_union_p((iter(xs), iter(ys)), True, counters)
 
 
 def minus(xs, ys, counters=None):
     """Ordered set difference xs \\ ys of strictly increasing streams."""
-    if counters is not None:
-        return _diffed(iter(xs), iter(ys), counters, False)
-    return _minus_fast(iter(xs), iter(ys))
-
-
-def _minus_fast(xs, ys):
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        return
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from xs
-        return
-    while True:
-        if x < y:
-            yield x
-            try:
-                x = nx()
-            except StopIteration:
-                return
-        elif x > y:
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
-        else:
-            try:
-                x = nx()
-            except StopIteration:
-                return
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
+    return _diff(*_inputs(xs, ys, counters), False)
 
 
 def s_minus(xs, ys, counters=None):
     """Difference for the special case elements(ys) ⊆ elements(xs).
 
-    Never needs a "skip ys" arm: whenever heads differ, x < y must hold
-    (asserted in debug runs).
+    Whenever heads differ, x < y must hold; an element of ys missing from
+    xs trips an `assert`, and under -O it is skipped, as `minus` would.
     """
-    if counters is not None:
-        return _diffed(iter(xs), iter(ys), counters, True)
-    return _s_minus_fast(iter(xs), iter(ys))
+    return _diff(*_inputs(xs, ys, counters), True)
 
 
-def _s_minus_fast(xs, ys):
+def _diff(xs, ys, subset):
     nx = xs.__next__
     ny = ys.__next__
     try:
@@ -390,41 +283,6 @@ def _s_minus_fast(xs, ys):
         yield from xs
         return
     while True:
-        if x == y:
-            try:
-                x = nx()
-            except StopIteration:
-                return
-            try:
-                y = ny()
-            except StopIteration:
-                yield x
-                yield from xs
-                return
-        else:
-            assert x < y, "s_minus: ys is not a subset of xs (saw %d > %d)" % (x, y)
-            yield x
-            try:
-                x = nx()
-            except StopIteration:
-                return
-
-
-def _diffed(xs, ys, counters, subset):
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        return
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from xs
-        return
-    while True:
-        counters.comparisons += 1
         if x == y:
             try:
                 x = nx()
@@ -491,119 +349,17 @@ def fold_union_p(streams, disjoint=False, counters=None):
     The head of each inner stream is emitted before the rest of the fold
     is even constructed, so pulling the first n elements forces only the
     inner streams whose heads may already be due -- for Bird-style
-    multiples, at most pi(sqrt(value_n)) + 1 of them.
+    multiples, at most pi(sqrt(value_n)) + 1 of them. Empty inner streams
+    are skipped.
 
-    The merge is inlined into the fold node: an element produced by the
+    Each fold node is one `_merge` generator: an element produced by the
     k-th inner stream crosses k suspended frames on its way out, which is
     the O(n*m) cost model this family of sieves lives with.
     """
-    first = next(streams, None)
-    if first is None:
-        return
-    nx = first.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        yield from fold_union_p(streams, disjoint, counters)
-        return
-    yield x
-    try:
-        x = nx()
-    except StopIteration:
-        yield from fold_union_p(streams, disjoint, counters)
-        return
-    rest = fold_union_p(streams, disjoint, counters)
-    ny = rest.__next__
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from first
-        return
+    streams = iter(streams)
     if counters is not None:
-        while True:
-            counters.comparisons += 1
-            if x < y:
-                yield x
-                try:
-                    x = nx()
-                except StopIteration:
-                    yield y
-                    yield from rest
-                    return
-            elif disjoint or y < x:
-                assert not disjoint or y < x, (
-                    "fold_union_p: disjoint fold saw %d twice" % x)
-                yield y
-                try:
-                    y = ny()
-                except StopIteration:
-                    yield x
-                    yield from first
-                    return
-            else:
-                yield x
-                try:
-                    x = nx()
-                except StopIteration:
-                    yield from rest
-                    return
-                try:
-                    y = ny()
-                except StopIteration:
-                    yield x
-                    yield from first
-                    return
-    elif disjoint:
-        while True:
-            if x < y:
-                yield x
-                try:
-                    x = nx()
-                except StopIteration:
-                    yield y
-                    yield from rest
-                    return
-            else:
-                assert y < x, "fold_union_p: disjoint fold saw %d twice" % x
-                yield y
-                try:
-                    y = ny()
-                except StopIteration:
-                    yield x
-                    yield from first
-                    return
-    else:
-        while True:
-            if x < y:
-                yield x
-                try:
-                    x = nx()
-                except StopIteration:
-                    yield y
-                    yield from rest
-                    return
-            elif y < x:
-                yield y
-                try:
-                    y = ny()
-                except StopIteration:
-                    yield x
-                    yield from first
-                    return
-            else:
-                yield x
-                try:
-                    x = nx()
-                except StopIteration:
-                    yield from rest
-                    return
-                try:
-                    y = ny()
-                except StopIteration:
-                    yield x
-                    yield from first
-                    return
+        streams = (_pulled(s, counters) for s in streams)
+    return _merge(None, None, disjoint, streams, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +398,6 @@ class StreamFixpoint:
     def snapshot(self):
         """The memoized prefix produced so far (a copy)."""
         return tuple(self._buf)
-
-    @property
-    def exhausted(self):
-        """True once the producer has ended (only finite sources end)."""
-        return self._done
 
     def _fill(self, n):
         buf = self._buf

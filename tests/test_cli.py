@@ -71,6 +71,13 @@ def test_stats_small_wheel_sieve(capsys):
     assert record["n"] == 4 and record["nth_prime"] == 7
 
 
+def test_stats_pulls_count_primes_delivered(capsys):
+    code, out, _ = run(capsys, "stats", "--algo", "es", "--bound", "100")
+    record = json.loads(out)
+    assert code == 0 and record["n"] == 25
+    assert record["pulls"] == record["n"]
+
+
 def test_stats_bird_sum_of_multiplicities(capsys):
     code, out, _ = run(capsys, "stats", "--algo", "bs", "--bound", "300")
     record = json.loads(out)
@@ -189,12 +196,6 @@ def test_bench_json(capsys):
     assert payload["rows"][0]["variant"] == "WPQ4"
     assert payload["rows"][0]["p_n"] == oracle.nth_prime(64)
     assert payload["environment"]
-
-
-def test_bench_parallel(capsys):
-    code, out, _ = run(capsys, "bench", "--algo", "es,td", "--exponents", "6",
-                       "--repeats", "1", "--parallel", "--format", "csv")
-    assert code == 0 and len(out.strip().splitlines()) == 3
 
 
 def test_paper_time_format():

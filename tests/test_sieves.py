@@ -1,6 +1,8 @@
 from itertools import count
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primegen import oracle
 from primegen.sieves import (
@@ -169,3 +171,13 @@ def test_registry_names():
     }
     for variant in STREAM_VARIANTS.values():
         assert take(variant.factory(), 5) == [2, 3, 5, 7, 11]
+
+
+@given(st.integers(min_value=1, max_value=1500))
+@example(1)
+@example(1500)
+@settings(max_examples=12, deadline=None)
+def test_every_stream_variant_matches_oracle_prefix(n):
+    expect = oracle.first_primes(n)
+    for name, variant in STREAM_VARIANTS.items():
+        assert take(variant.factory(), n) == expect, name

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import count, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -212,21 +217,54 @@ def test_instrumented_paths_match_fast_paths():
     b = sorted(random.Random(4).sample(range(5000), 800))
     shared = sorted(set(a) & set(b))
     disjoint_b = [x for x in b if x not in set(a)]
+
+    def multiples():
+        return iter([iter(range(p * p, 5000, p)) for p in (2, 3, 5, 7, 11, 13)])
+
+    def parts():
+        return iter([iter(a[i::4]) for i in range(4)])
+
+    fold_counters, minus_counters = RunCounters(), RunCounters()
     for fast, slow in (
         (union(iter(a), iter(b)), union(iter(a), iter(b), RunCounters())),
-        (minus(iter(a), iter(b)), minus(iter(a), iter(b), RunCounters())),
+        (minus(iter(a), iter(b)), minus(iter(a), iter(b), minus_counters)),
         (d_union(iter(a), iter(disjoint_b)),
          d_union(iter(a), iter(disjoint_b), RunCounters())),
         (s_minus(iter(a), iter(shared)),
          s_minus(iter(a), iter(shared), RunCounters())),
+        (fold_union_p(multiples()),
+         fold_union_p(multiples(), False, fold_counters)),
+        (fold_union_p(parts(), True),
+         fold_union_p(parts(), True, RunCounters())),
     ):
         assert list(fast) == list(slow)
+    assert fold_counters.comparisons > 0 and minus_counters.comparisons > 0
 
 
 def test_instrumented_comparisons_counted():
     counters = RunCounters()
     list(union(iter([1, 3]), iter([2, 4]), counters))
     assert counters.comparisons > 0
+
+
+def test_broken_preconditions_under_optimize_give_union_and_minus_output():
+    # -O strips the precondition asserts; the combinators must then behave
+    # like `union`/`minus`, counted or not
+    script = textwrap.dedent("""
+        from primegen.streams import RunCounters, d_union, fold_union_p, s_minus
+        for counters in (None, RunCounters()):
+            print(list(s_minus(iter([2, 5, 6]), iter([3, 5]), counters)))
+            print(list(d_union(iter([1, 5]), iter([5, 7]), counters)))
+            print(list(fold_union_p(iter([iter([4, 6]), iter([6, 9])]),
+                                    True, counters)))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[2, 6]", "[1, 5, 7]", "[4, 6, 9]"] * 2
 
 
 # ---------------------------------------------------------------------------
