@@ -42,8 +42,8 @@ CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns", "composites",
 TABLE1_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4")
 TABLE3_ORDER = ("on", "wpq", "epq", "on4", "wpq4", "epq4")
 
-EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "epq", "wpq",
-                  "epq4", "wpq4")
+EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "naive-w", "epq",
+                  "wpq", "epq4", "wpq4")
 CAPPED = ("turner", "naive-euler")
 CAPPED_LIMIT = 2_000
 

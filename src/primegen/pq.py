@@ -133,11 +133,13 @@ def oneill_sieve(w4=False, counters=None):
     if w4:
         offsets = _w4_offsets()
         deltas = wheel4().deltas
+        sizes = set(deltas)
 
         def multiples(p):
-            # resume the wheel at p's phase, every gap scaled by p
+            # resume the wheel at p's phase; one int per scaled gap size
             i = offsets[p % 210]
-            gaps = [p * d for d in deltas[i:] + deltas[:i]]
+            step = {d: p * d for d in sizes}
+            gaps = [step[d] for d in deltas[i:] + deltas[:i]]
             return _after_square(accumulate(cycle(gaps), initial=p * p))
     else:
 

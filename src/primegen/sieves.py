@@ -20,17 +20,26 @@ and survivor forms is also what keeps the subset precondition of
 `s_minus` intact. All variants share the same stream kernel and the same
 optional instrumentation so measured differences reflect structure, not
 plumbing.
+
+The fold sieves (bird, wheel, ES and naive wheel) read their base primes
+from a second, uncounted instance of the same sieve, created on the first
+pull, as the queue sieves in `pq` do (the "double primes feed" of the
+postponed sieve, https://wiki.haskell.org/Prime_numbers). It only has to
+reach the square root of the outer candidates, so no prime memo is kept.
+Only `primes_h`/`primes_h4` tie a sharing knot (`fix_stream`): H's level
+for x reads the primes up to v/x, half the range when x = 2, so an inner
+instance would redo most of the outer one's work.
 """
 
-import sys
 from dataclasses import dataclass
-from itertools import count, tee
+from itertools import count, islice, tee
 
 from .hamming import composites_of_primes
 from .streams import (
     StreamError,
     births,
     count_from,
+    ensure_recursion_room,
     fix_stream,
     fold_union_p,
     minus,
@@ -38,7 +47,6 @@ from .streams import (
     s_minus,
     scaled,
     spin,
-    take,
 )
 from .wheels import coprime_gaps, cyc, next_wheel_deltas, s4_stream, shared_deltas, wheel4
 
@@ -96,9 +104,7 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
     stack frame per discovered prime on every pull, so very deep caps are
     bounded by the interpreter stack.
     """
-    limit = cap + 2_000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    ensure_recursion_room(cap + 2_000)
     cs = count_from(2)
     for _ in range(cap):
         a, b = tee(cs)
@@ -110,32 +116,22 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
 
 def bird_sieve(counters=None):
     """Candidates minus the union of every prime's multiples stream."""
-
-    def knot(h):
-        levels = (
-            births(scaled(p, count_from(p)), counters) for p in h.reader()
-        )
-        yield 2
-        yield from minus(
-            count_from(3), fold_union_p(levels, False, counters), counters)
-
-    return fix_stream(knot, counters)
+    levels = (
+        births(scaled(p, count_from(p)), counters) for p in bird_sieve())
+    yield 2
+    yield from minus(
+        count_from(3), fold_union_p(levels, False, counters), counters)
 
 
 def bird_sieve_w4(counters=None):
     """Bird's sieve on the 210-wheel: multiples of p start at p*p and step
     through the coprime survivors, so the first four Euler rounds come for
     free and composites with a factor below 11 are never formed."""
-
-    def knot(h):
-        levels = (
-            births(_coprime_multiples(p), counters) for p in h.reader(4)
-        )
-        comp = fold_union_p(levels, False, counters)
-        yield from (2, 3, 5, 7, 11)
-        yield from s_minus(_ts4(), comp, counters)
-
-    return fix_stream(knot, counters)
+    levels = (
+        births(_coprime_multiples(p), counters)
+        for p in islice(bird_sieve_w4(), 4, None))
+    yield from (2, 3, 5, 7, 11)
+    yield from s_minus(_ts4(), fold_union_p(levels, False, counters), counters)
 
 
 def _coprime_multiples(p):
@@ -154,49 +150,41 @@ def _ts4():
 def naive_wheel_euler(counters=None):
     """Euler's sieve with every wheel rebuilt from scratch, per prime.
 
-    Kept as a baseline: the prime prefix is re-collected and the wheel
-    re-derived by trial division at every level.
+    Kept as a baseline: each level re-derives its wheel by trial division
+    against the primes before it; the levels share one growing prefix of
+    those primes, so only the wheel is rebuilt per level.
     """
-
-    def knot(h):
-        yield 2
-        comp = fold_union_p(_naive_wheel_levels(h, counters), True, counters)
-        yield from s_minus(count_from(3), comp, counters)
-
-    return fix_stream(knot, counters)
+    yield 2
+    comp = fold_union_p(
+        _naive_wheel_levels(naive_wheel_euler(), counters), True, counters)
+    yield from s_minus(count_from(3), comp, counters)
 
 
-def _naive_wheel_levels(h, counters):
-    k = 0
-    for p in h.reader():
-        prefix = take(h.reader(), k)
-        yield births(scaled(p, spin(coprime_gaps(prefix, p), p)), counters)
-        k += 1
+def _naive_wheel_levels(ps, counters):
+    prefix = []
+    for p in ps:
+        # coprime_gaps reads its prefix lazily: hand it this level's copy
+        gaps = coprime_gaps(tuple(prefix), p)
+        yield births(scaled(p, spin(gaps, p)), counters)
+        prefix.append(p)
 
 
 def wheel_euler(counters=None):
     """Euler's sieve driven by incrementally grown wheels (sieve W)."""
-
-    def knot(h):
-        yield 2
-        levels = _wheel_levels(h.reader(), shared_deltas((1,), counters), counters)
-        comp = fold_union_p(levels, True, counters)
-        yield from s_minus(count_from(3), comp, counters)
-
-    return fix_stream(knot, counters)
+    yield 2
+    levels = _wheel_levels(
+        wheel_euler(), shared_deltas((1,), counters), counters)
+    comp = fold_union_p(levels, True, counters)
+    yield from s_minus(count_from(3), comp, counters)
 
 
 def wheel_euler_w4(counters=None):
     """Sieve W started from (w_4, s_4), skipping its first four rounds."""
-
-    def knot(h):
-        yield from (2, 3, 5, 7, 11)
-        levels = _wheel_levels(
-            h.reader(4), shared_deltas(wheel4(), counters), counters)
-        comp = fold_union_p(levels, True, counters)
-        yield from s_minus(_ts4(), comp, counters)
-
-    return fix_stream(knot, counters)
+    yield from (2, 3, 5, 7, 11)
+    levels = _wheel_levels(islice(wheel_euler_w4(), 4, None),
+                           shared_deltas(wheel4(), counters), counters)
+    comp = fold_union_p(levels, True, counters)
+    yield from s_minus(_ts4(), comp, counters)
 
 
 def _wheel_levels(ps, w, counters):
@@ -208,26 +196,18 @@ def _wheel_levels(ps, w, counters):
 
 def es_euler(counters=None):
     """Euler's sieve by the erased/survivor induction (sieve ES)."""
-
-    def knot(h):
-        yield 2
-        levels = _es_levels(h.reader(), count_from(2), counters)
-        comp = fold_union_p(levels, True, counters)
-        yield from s_minus(count_from(3), comp, counters)
-
-    return fix_stream(knot, counters)
+    yield 2
+    levels = _es_levels(es_euler(), count_from(2), counters)
+    comp = fold_union_p(levels, True, counters)
+    yield from s_minus(count_from(3), comp, counters)
 
 
 def es_euler_w4(counters=None):
     """Sieve ES with candidates and survivors seeded from s_4."""
-
-    def knot(h):
-        yield from (2, 3, 5, 7, 11)
-        levels = _es_levels(h.reader(4), s4_stream(), counters)
-        comp = fold_union_p(levels, True, counters)
-        yield from s_minus(_ts4(), comp, counters)
-
-    return fix_stream(knot, counters)
+    yield from (2, 3, 5, 7, 11)
+    levels = _es_levels(islice(es_euler_w4(), 4, None), s4_stream(), counters)
+    comp = fold_union_p(levels, True, counters)
+    yield from s_minus(_ts4(), comp, counters)
 
 
 def es_step(p, survivors, counters=None):

@@ -56,13 +56,16 @@ class RunCounters:
     elements pulled into a merge or difference loop (in a fold, once per
     level an element crosses); `pulls` counts primes delivered;
     `buffered`/`peak_buffer` track memoized elements across fixpoint and
-    replay buffers. `tally` and `popped`, when enabled, record per-value
-    multiplicities.
+    replay buffers: H's prime memo and Hamming levels, and the wheel
+    memos of W and WPQ. The fold sieves keep no prime memo, so theirs
+    covers wheels only. `tally` and `popped`, when enabled, record
+    per-value multiplicities.
 
-    A queue sieve's first key for prime p is p*p; it enters the queue, and
-    is counted, when the candidates reach p*p, not when p is found. A
-    queue sieve's counters cover the outer instance only: the inner
-    instances that feed it base primes run uncounted.
+    Every sieve's counters cover the outer instance only: the inner
+    instances that feed the fold and queue sieves their base primes run
+    uncounted. A queue sieve's first key for prime p is p*p; it enters the
+    queue, and is counted, when the candidates reach p*p, not when p is
+    found.
     """
 
     composites: int = 0
@@ -356,6 +359,8 @@ def fold_union_p(streams, disjoint=False, counters=None):
     k-th inner stream crosses k suspended frames on its way out, which is
     the O(n*m) cost model this family of sieves lives with.
     """
+    # each level is one more suspended frame on the way out
+    ensure_recursion_room()
     streams = iter(streams)
     if counters is not None:
         streams = (_pulled(s, counters) for s in streams)
@@ -378,7 +383,7 @@ class StreamFixpoint:
     Producing element n may consume only elements already in the buffer.
     A re-entrant demand for an unproduced element raises
     `NonProductiveStream` instead of hanging. The buffer grows without
-    eviction; `buffered` is its current size.
+    eviction.
     """
 
     __slots__ = ("_buf", "_producer", "_source", "_filling", "_done", "_counters")
@@ -390,14 +395,6 @@ class StreamFixpoint:
         self._filling = False
         self._done = False
         self._counters = counters
-
-    @property
-    def buffered(self):
-        return len(self._buf)
-
-    def snapshot(self):
-        """The memoized prefix produced so far (a copy)."""
-        return tuple(self._buf)
 
     def _fill(self, n):
         buf = self._buf

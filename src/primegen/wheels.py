@@ -214,8 +214,8 @@ def shared_deltas(wheel_or_iterable, counters=None):
 
 
 def cyc(shared):
-    """circ over a shared delta stream; switches to a C-level cycle once
-    the first pass has materialized the whole wheel."""
+    """circ over a shared delta stream; after the first pass it hands the
+    replay to a C-level cycle, which keeps the one copy of the wheel."""
     r = shared.reader()
     got = False
     for d in r:
@@ -223,4 +223,4 @@ def cyc(shared):
         yield d
     if not got:
         raise ValueError("cannot roll an empty wheel")
-    yield from cycle(shared.snapshot())
+    yield from cycle(shared.reader())

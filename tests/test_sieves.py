@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +28,7 @@ from primegen.sieves import (
     wheel_euler_w4,
 )
 from primegen.streams import RunCounters, nth, take
+from test_pq import _traced_peak
 
 
 def test_trial_division_examples():
@@ -181,3 +187,39 @@ def test_every_stream_variant_matches_oracle_prefix(n):
     expect = oracle.first_primes(n)
     for name, variant in STREAM_VARIANTS.items():
         assert take(variant.factory(), n) == expect, name
+
+
+@pytest.mark.parametrize("name", ["bs", "bs4", "naive-w"])
+def test_fold_sieve_state_grows_slowly(name):
+    # base primes come from an inner instance, so no prime memo grows like n
+    small, large = (_traced_peak(STREAM_VARIANTS[name], n) for n in (2**12, 2**14))
+    assert large <= 2.5 * small
+
+
+@pytest.mark.parametrize("name", ["w", "w4"])
+def test_wheel_sieve_state_stays_small(name):
+    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < 0.7 * 2**20
+
+
+def test_stream_variants_survive_a_low_caller_recursion_limit():
+    # the sieves raise the limit themselves when they build deep folds
+    script = textwrap.dedent("""
+        import sys
+        from primegen import oracle
+        from primegen.sieves import STREAM_VARIANTS
+        from primegen.streams import take
+        expect = oracle.first_primes(10_000)
+        for name, variant in STREAM_VARIANTS.items():
+            if variant.cap is None:
+                sys.setrecursionlimit(100)
+                assert take(variant.factory(), 10_000) == expect, name
+                print(name)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    uncapped = [n for n, v in STREAM_VARIANTS.items() if v.cap is None]
+    assert proc.stdout.split() == uncapped

@@ -200,8 +200,9 @@ def test_monotone_outputs_at_scale():
     rng = random.Random(7)
     a = sorted(random.Random(1).sample(range(10**7), 10_000))
     b = sorted(rng.sample(range(10**7), 10_000))
-    shared = sorted(set(a) & set(b))
-    disjoint_b = [x for x in b if x not in set(a)]
+    a_set = set(a)
+    shared = sorted(a_set & set(b))
+    disjoint_b = [x for x in b if x not in a_set]
     for stream in (
         union(iter(a), iter(b)),
         d_union(iter(a), iter(disjoint_b)),
