@@ -9,7 +9,8 @@ Subcommands:
   bench   desk-scale timing table shaped like a results table
   stats   instrumented counters for one variant as a JSON line
 
-Exit codes: 0 ok, 1 usage, 2 resource/cap exceeded, 3 verification failed.
+Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
+2 resource/cap exceeded, 3 verification failed.
 
 Benchmark cells run uninstrumented so wall times are honest; the counter
 columns of a bench CSV are therefore zero. Use `stats` for counters.
@@ -17,6 +18,7 @@ columns of a bench CSV are therefore zero. Use `stats` for counters.
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -535,7 +537,17 @@ def main(argv=None):
             raise UsageError("%s needs --algo" % args.command)
         if getattr(args, "needs_n", False) and args.n is None:
             raise UsageError("%s needs --n" % args.command)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at shutdown has nowhere to fail (see the SIGPIPE note in the
+        # `signal` module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

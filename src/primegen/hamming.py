@@ -11,11 +11,17 @@ ordered factorization.
 themselves are left out of the output but re-inserted internally before
 multiplying, so the composites of a prime suffix come out in order, once
 each.
+
+Each level, one per generator x, is a `fix_stream` knot: it reads its own
+output back, scaled by x, through a tee copy taken when the level starts.
+That copy trails the level's output v at v/x, so the level holds only
+(v/x, v]. The generators themselves sit in a `replay` list memo, because
+level k starts late and reads them from index k.
 """
 
 from itertools import chain
 
-from .streams import StreamFixpoint, U64_MAX, births, d_union, replay, scaled
+from .streams import StreamFixpoint, U64_MAX, births, d_union, fix_stream, replay, scaled
 
 
 def hamming_stream(gens, counters=None):
@@ -40,14 +46,16 @@ def _hamming_level(gens, k, counters):
             counters.born(x)
         return chain([x], d_union(own, rest, counters))
 
-    return StreamFixpoint(knot, counters).reader()
+    return fix_stream(knot, counters)
 
 
 def composites_of_primes(ps, counters=None, start=0):
     """C(P): every product of two or more primes from `ps`, in order.
 
-    `ps` is the (suffix of the) prime stream, or a fixpoint handle plus a
-    `start` offset when the primes are themselves under construction.
+    `ps` is the prime stream (or a `StreamFixpoint` replaying it), and
+    `start` the index of the first prime used. The primes may still be
+    under construction, as in H, where `ps` is a reader of H's own knot:
+    levels read only the primes up to v/2.
     """
     shared = ps if isinstance(ps, StreamFixpoint) else replay(iter(ps))
     return _composites_level(shared, start, counters)
@@ -72,7 +80,7 @@ def _composites_level(primes, k, counters):
             counters.born(xx)
         return chain([xx], d_union(grown, rest, counters))
 
-    return StreamFixpoint(knot, counters).reader()
+    return fix_stream(knot, counters)
 
 
 def classic_hamming3(counters=None):
@@ -85,17 +93,20 @@ def classic_hamming3(counters=None):
     every rebuild the scheme would perform.
     """
 
-    def knot(h):
-        def times(m):
-            for v, paths in h.reader():
-                if counters is not None:
-                    counters.born(m * v, paths)
-                yield m * v, paths
+    def times(m, products):
+        for v, paths in products:
+            if counters is not None:
+                counters.born(m * v, paths)
+            yield m * v, paths
 
-        merged = _weighted_merge(times(2), _weighted_merge(times(3), times(5)))
+    def knot(h):
+        # the three readers are taken now, before (1, 1) goes out
+        merged = _weighted_merge(
+            times(2, h.reader()),
+            _weighted_merge(times(3, h.reader()), times(5, h.reader())))
         return chain([(1, 1)], merged)
 
-    for v, _ in StreamFixpoint(knot, counters).reader():
+    for v, _ in fix_stream(knot, counters):
         yield v
 
 

@@ -28,7 +28,10 @@ postponed sieve, https://wiki.haskell.org/Prime_numbers). It only has to
 reach the square root of the outer candidates, so no prime memo is kept.
 Only `primes_h`/`primes_h4` tie a sharing knot (`fix_stream`): H's level
 for x reads the primes up to v/x, half the range when x = 2, so an inner
-instance would redo most of the outer one's work.
+instance would redo most of the outer one's work. H takes its one reader
+of that knot before its first prime goes out; the Hamming levels replay
+it from a list memo of the primes up to v/2, and every level is a knot of
+its own (see `hamming`).
 """
 
 from dataclasses import dataclass
@@ -233,8 +236,9 @@ def primes_h(counters=None):
     """Euler's sieve via the Hamming-number recursion (sieve H)."""
 
     def knot(h):
+        primes = h.reader()
         yield 2
-        comp = composites_of_primes(h, counters)
+        comp = composites_of_primes(primes, counters)
         yield from s_minus(count_from(3), comp, counters)
 
     return fix_stream(knot, counters)
@@ -249,8 +253,9 @@ def primes_h4(counters=None):
     """
 
     def knot(h):
+        primes = h.reader()
         yield from (2, 3, 5, 7, 11)
-        comp = composites_of_primes(h, counters, start=4)
+        comp = composites_of_primes(primes, counters, start=4)
         yield from s_minus(_ts4(), comp, counters)
 
     return fix_stream(knot, counters)

@@ -4,9 +4,14 @@ Streams are plain Python iterators of weakly increasing 64-bit naturals,
 pulled one element at a time. This module provides the merge/difference
 combinators the sieves are built from (one merge loop and one difference
 loop serve them all), a productivity-preserving fold over a stream of
-streams, cyclic wheel rolling, and `StreamFixpoint`, which makes the
-sharing implicit in self-referential definitions ("primes defined in terms
-of primes") explicit via a replayable memo buffer.
+streams, cyclic wheel rolling, and two ways to share a stream between
+readers:
+  * `fix_stream` ties a self-referential definition ("primes defined in
+    terms of primes") on an `itertools.tee`. Its readers are taken while
+    the producer starts, replay in C, and the tee frees each element once
+    every reader has passed it;
+  * `replay`/`StreamFixpoint` keep a list memo that never evicts, so a
+    reader may be created at any time and start at any index.
 
 Conventions:
   * inputs to `d_union`/`s_minus`/`minus` must be strictly increasing;
@@ -20,7 +25,7 @@ Conventions:
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, cycle, islice
+from itertools import count, cycle, islice, tee
 
 U64_MAX = (1 << 64) - 1
 
@@ -55,11 +60,13 @@ class RunCounters:
     stream, or a key entering a priority queue); `comparisons` counts
     elements pulled into a merge or difference loop (in a fold, once per
     level an element crosses); `pulls` counts primes delivered;
-    `buffered`/`peak_buffer` track memoized elements across fixpoint and
-    replay buffers: H's prime memo and Hamming levels, and the wheel
-    memos of W and WPQ. The fold sieves keep no prime memo, so theirs
-    covers wheels only. `tally` and `popped`, when enabled, record
-    per-value multiplicities.
+    `buffered`/`peak_buffer` count elements entering a shared stream: the
+    `fix_stream` knots of H (its primes and Hamming levels) and the
+    `replay` memos of the wheels of W and WPQ. A knot frees what all its
+    readers have passed, so for a knot the count is of produced elements,
+    not of live ones; it never decreases. The fold sieves keep no prime
+    memo, so theirs covers wheels only. `tally` and `popped`, when
+    enabled, record per-value multiplicities.
 
     Every sieve's counters cover the outer instance only: the inner
     instances that feed the fold and queue sieves their base primes run
@@ -375,15 +382,15 @@ class StreamFixpoint:
     """A growable memoized stream with any number of replaying readers.
 
     `producer` receives the fixpoint itself and returns the stream that
-    defines the buffered sequence; it may create readers on the handle, so
-    self-referential definitions tie their knot through the buffer. Every
-    reader replays the memoized prefix before demanding new elements, so
-    all readers observe the identical sequence.
+    defines the buffered sequence. Every reader replays the memoized
+    prefix before demanding new elements, so all readers observe the
+    identical sequence, however late they are created.
 
     Producing element n may consume only elements already in the buffer.
     A re-entrant demand for an unproduced element raises
     `NonProductiveStream` instead of hanging. The buffer grows without
-    eviction.
+    eviction; a self-referential stream that needs eviction is a
+    `fix_stream` knot.
     """
 
     __slots__ = ("_buf", "_producer", "_source", "_filling", "_done", "_counters")
@@ -436,10 +443,51 @@ class StreamFixpoint:
         return self.reader()
 
 
+class _Knot:
+    # the handle a `fix_stream` producer reads its own output through
+    __slots__ = ("_origin",)
+
+    def reader(self, skip=0):
+        """A copy of the stream from its start, or from index `skip`."""
+        if self._origin is None:
+            raise StreamError(
+                "a knot's readers must be taken before its first element "
+                "is delivered")
+        copy = self._origin.__copy__()
+        return islice(copy, skip, None) if skip else copy
+
+
 def fix_stream(producer, counters=None):
-    """The unique stream s with s = producer(handle-replaying-s)."""
+    """The unique stream s with s = producer(handle-replaying-s).
+
+    The stream is an `itertools.tee`, so readers replay it in C. The
+    producer must take every reader it needs (`handle.reader(skip)`)
+    before the first element is delivered; the handle then lets go of the
+    stream's start, the tee frees each element once every reader has
+    passed it, and a later `reader()` raises `StreamError`. Producing
+    element n may consume only elements 0..n-1: a re-entrant demand raises
+    `NonProductiveStream`. With `counters`, each produced element counts
+    as buffered, whether or not it is still held.
+    """
     ensure_recursion_room()
-    return StreamFixpoint(producer, counters).reader()
+    handle = _Knot()
+
+    def source():
+        try:
+            for value in producer(handle):
+                handle._origin = None
+                if counters is not None:
+                    counters.note_buffered()
+                yield value
+        except RuntimeError as exc:
+            if str(exc) != "cannot re-enter the tee iterator":
+                raise
+            raise NonProductiveStream(
+                "non-productive definition: an element was demanded while "
+                "it was being produced") from exc
+
+    (handle._origin,) = tee(source(), 1)
+    return handle._origin.__copy__()
 
 
 def replay(iterable, counters=None):

@@ -129,6 +129,25 @@ def test_verify_queue_variants_without_asserts():
     assert "FAIL" not in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("list", "--algo", "on", "--n", "100000"),
+    ("verify", "--algo", "on", "--n", "3000", "--bound", "3000"),
+])
+def test_closed_stdout_ends_quietly(argv):
+    # a reader that stops early, as `| head -1` does: no traceback, and
+    # one of the documented exit codes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "primegen", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) in {0, 1, 2, 3}
+    assert err == b""
+
+
 def test_verify_empty_variant_list_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--algo", ",")
     assert code == 1 and "empty variant list" in err

@@ -201,6 +201,25 @@ def test_wheel_sieve_state_stays_small(name):
     assert _traced_peak(STREAM_VARIANTS[name], 2**14) < 0.7 * 2**20
 
 
+@pytest.mark.parametrize("factory, figures", [
+    (primes_h, (204828, 204828, 1452550, 838252)),
+    (primes_h4, (31460, 31460, 540495, 446297)),
+])
+def test_hamming_sieve_counters_at_20000_primes(factory, figures):
+    # composites, distinct composites, comparisons and peak_buffer do not
+    # depend on how H's knots share their output
+    counters = RunCounters.with_tally()
+    take(factory(counters), 20_000)
+    assert (counters.composites, len(counters.tally), counters.comparisons,
+            counters.peak_buffer) == figures
+
+
+@pytest.mark.parametrize("name, mib", [("h", 9.5), ("h4", 4.6)])
+def test_hamming_sieve_frees_what_every_reader_passed(name, mib):
+    # level x reads its own output back from v/x, so it holds (v/x, v]
+    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < mib * 2**20
+
+
 def test_stream_variants_survive_a_low_caller_recursion_limit():
     # the sieves raise the limit themselves when they build deep folds
     script = textwrap.dedent("""

@@ -14,6 +14,7 @@ from primegen import oracle
 from primegen.streams import (
     NonProductiveStream,
     RunCounters,
+    StreamError,
     StreamFixpoint,
     StreamOverflow,
     U64_MAX,
@@ -281,6 +282,40 @@ def test_fix_stream_self_demand_raises():
     stream = fix_stream(lambda h: h.reader())
     with pytest.raises(NonProductiveStream):
         next(stream)
+
+
+def test_fix_stream_self_demanding_level_raises():
+    # a Hamming level that scales its own output from element 0 on
+    stream = fix_stream(lambda h: scaled(2, h.reader()))
+    with pytest.raises(NonProductiveStream):
+        next(stream)
+
+
+def test_fix_stream_late_reader_is_an_error():
+    handles = []
+
+    def producer(h):
+        handles.append(h)
+        return count(0)
+
+    stream = fix_stream(producer)
+    assert next(stream) == 0
+    with pytest.raises(StreamError):
+        handles[0].reader()
+    assert take(stream, 3) == [1, 2, 3]
+
+
+def test_fix_stream_readers_may_skip():
+    # s(n) = s(n-2) + s(n-1) + 2, read through two copies of s
+    def producer(h):
+        back2 = h.reader()
+        back1 = h.reader(1)
+        yield 0
+        yield 2
+        for a, b in zip(back2, back1):
+            yield a + b + 2
+
+    assert take(fix_stream(producer), 6) == [0, 2, 4, 8, 14, 24]
 
 
 def test_fix_stream_bird_primes():
