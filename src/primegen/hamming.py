@@ -15,13 +15,15 @@ each.
 Each level, one per generator x, is a `fix_stream` knot: it reads its own
 output back, scaled by x, through a tee copy taken when the level starts.
 That copy trails the level's output v at v/x, so the level holds only
-(v/x, v]. The generators themselves sit in a `replay` list memo, because
-level k starts late and reads them from index k.
+(v/x, v]. A level takes the next generator when it starts, from one plain
+iterator; a composites level also reads the generators above its own, so
+it splits the iterator with `tee`, keeping one copy and handing the other
+to the next level.
 """
 
-from itertools import chain
+from itertools import chain, islice, tee
 
-from .streams import StreamFixpoint, U64_MAX, births, d_union, fix_stream, replay, scaled
+from .streams import U64_MAX, births, d_union, fix_stream, scaled
 
 
 def hamming_stream(gens, counters=None):
@@ -31,17 +33,16 @@ def hamming_stream(gens, counters=None):
     guarantee); it may be unbounded -- the recursion over the tail is
     only built on first demand.
     """
-    shared = gens if isinstance(gens, StreamFixpoint) else replay(iter(gens))
-    return _hamming_level(shared, 0, counters)
+    return _hamming_level(iter(gens), counters)
 
 
-def _hamming_level(gens, k, counters):
+def _hamming_level(gens, counters):
     def knot(h):
-        x = next(gens.reader(k), None)
+        x = next(gens, None)
         if x is None:
             return iter(())
         own = births(scaled(x, h.reader()), counters)
-        rest = _hamming_level(gens, k + 1, counters)
+        rest = _hamming_level(gens, counters)
         if counters is not None:
             counters.born(x)
         return chain([x], d_union(own, rest, counters))
@@ -52,18 +53,16 @@ def _hamming_level(gens, k, counters):
 def composites_of_primes(ps, counters=None, start=0):
     """C(P): every product of two or more primes from `ps`, in order.
 
-    `ps` is the prime stream (or a `StreamFixpoint` replaying it), and
-    `start` the index of the first prime used. The primes may still be
-    under construction, as in H, where `ps` is a reader of H's own knot:
-    levels read only the primes up to v/2.
+    `ps` is the prime stream, and `start` the index of the first prime
+    used. The primes may still be under construction, as in H, where `ps`
+    is a reader of H's own knot: levels read only the primes up to v/2.
     """
-    shared = ps if isinstance(ps, StreamFixpoint) else replay(iter(ps))
-    return _composites_level(shared, start, counters)
+    return _composites_level(islice(ps, start, None), counters)
 
 
-def _composites_level(primes, k, counters):
+def _composites_level(primes, counters):
     def knot(h):
-        x = next(primes.reader(k), None)
+        x = next(primes, None)
         if x is None:
             return iter(())
         xx = x * x
@@ -71,11 +70,10 @@ def _composites_level(primes, k, counters):
             raise OverflowError("%d**2 exceeds 64 bits" % x)
         # the primes above x must rejoin x's own composites before scaling,
         # since the recursive call strips them from its output
+        above, later = tee(primes)
         grown = births(
-            scaled(x, d_union(primes.reader(k + 1), h.reader(), counters)),
-            counters,
-        )
-        rest = _composites_level(primes, k + 1, counters)
+            scaled(x, d_union(above, h.reader(), counters)), counters)
+        rest = _composites_level(later, counters)
         if counters is not None:
             counters.born(xx)
         return chain([xx], d_union(grown, rest, counters))

@@ -14,7 +14,7 @@ instance of the same sieve, created at that point and sieving only up to
 the square root of the first; it in turn feeds from a third, and so on.
 Primes above the square root of the candidates leave no state behind, so
 the queue holds about pi(sqrt(n)) entries while sieving to n, and the
-queue state is O(pi(sqrt(n))), apart from WPQ's wheel memos and EPQ's
+queue state is O(pi(sqrt(n))), apart from WPQ's wheels and EPQ's
 survivor windows. All three flavours count a prime's first key p*p in
 `RunCounters` when the candidates reach p*p; the inner instances count
 nothing.
@@ -26,8 +26,8 @@ Three flavours of entry:
   epq     the erased-set streams of the survivor induction; disjoint, so
           every composite enters the queue exactly once
   wpq     the same sets as the rolling wheel's gaps scaled by p and
-          summed from p*p; O(1) state per entry plus one lazy wheel per
-          base prime
+          summed from p*p; O(1) state per entry plus one wheel per base
+          prime, grown lazily in the instance's `WheelChain`
 """
 
 import heapq
@@ -35,8 +35,8 @@ from collections import deque
 from itertools import accumulate, count, cycle, islice
 
 from .sieves import Variant
-from .streams import count_from, ensure_recursion_room, scaled, replay
-from .wheels import _w4_offsets, cyc, next_wheel_deltas, s4_stream, shared_deltas, wheel4
+from .streams import count_from, scaled
+from .wheels import WheelChain, _w4_offsets, s4_stream, wheel4
 
 
 class CompositePQ:
@@ -92,7 +92,6 @@ def _postponed(w4, multiples, counters, sieve):
     increasing order of p. `sieve()` makes the uncounted instance that
     feeds the later base primes.
     """
-    ensure_recursion_room()
     pq = CompositePQ(counters)
     insert, cross_off = pq.insert, pq.cross_off
     if w4:
@@ -100,7 +99,7 @@ def _postponed(w4, multiples, counters, sieve):
         cand = s4_stream()
     else:
         cand = count_from(2)
-    p = next(cand)
+    p = next(cand)  # both candidate streams are endless
     yield p
     q = p * p
     feed = None
@@ -114,12 +113,13 @@ def _postponed(w4, multiples, counters, sieve):
         if feed is None:
             # the inner instance repeats the primes up to p first
             feed = islice(sieve(), 5 if w4 else 1, None)
-        p = next(feed)
+        p = next(feed)  # an instance of an endless sieve
         q = p * p
 
 
 def _after_square(keys):
-    # drop the leading p*p of an `accumulate(..., initial=p*p)`
+    # drop the leading p*p of an `accumulate(..., initial=p*p)`, which
+    # yields its initial value even when the gaps are empty
     next(keys)
     return keys
 
@@ -245,16 +245,13 @@ def wpq_sieve(w4=False, counters=None):
     """Sieve W on a priority queue: entries sum the rolling wheel's gaps.
 
     Base prime p's keys are p*p plus the running sums of the current
-    wheel's gaps scaled by p; the wheel then rolls on past p, once per
-    base prime.
+    wheel's gaps scaled by p; the next base prime gets the wheel after
+    it, this one rolled past p.
     """
-    wheel = shared_deltas(wheel4() if w4 else (1,), counters)
+    wheels = WheelChain(wheel4() if w4 else (1,), counters)
 
     def multiples(p):
-        nonlocal wheel
-        keys = accumulate(scaled(p, cyc(wheel)), initial=p * p)
-        wheel = replay(next_wheel_deltas(wheel, p), counters)
-        return _after_square(keys)
+        return _after_square(accumulate(scaled(p, wheels.turn(p)), initial=p * p))
 
     return _postponed(w4, multiples, counters, lambda: wpq_sieve(w4))
 

@@ -29,9 +29,10 @@ reach the square root of the outer candidates, so no prime memo is kept.
 Only `primes_h`/`primes_h4` tie a sharing knot (`fix_stream`): H's level
 for x reads the primes up to v/x, half the range when x = 2, so an inner
 instance would redo most of the outer one's work. H takes its one reader
-of that knot before its first prime goes out; the Hamming levels replay
-it from a list memo of the primes up to v/2, and every level is a knot of
-its own (see `hamming`).
+of that knot before its first prime goes out; the Hamming levels split
+that reader with `tee`, one copy per level, and every level is a knot of
+its own (see `hamming`). W and W4 grow their wheels in one `WheelChain`
+per instance (see `wheels`).
 """
 
 from dataclasses import dataclass
@@ -46,12 +47,11 @@ from .streams import (
     fix_stream,
     fold_union_p,
     minus,
-    replay,
     s_minus,
     scaled,
     spin,
 )
-from .wheels import coprime_gaps, cyc, next_wheel_deltas, s4_stream, shared_deltas, wheel4
+from .wheels import WheelChain, coprime_gaps, s4_stream, wheel4
 
 DEFAULT_CAP = 10_000
 
@@ -111,6 +111,7 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
     cs = count_from(2)
     for _ in range(cap):
         a, b = tee(cs)
+        # endless: every round leaves the primes past p in the stream
         p = next(a)
         yield p
         cs = minus(a, scaled(p, b), counters)
@@ -146,7 +147,7 @@ def _coprime_multiples(p):
 
 def _ts4():
     cand = s4_stream()
-    next(cand)
+    next(cand)  # spin yields its start first, without reading a gap
     return cand
 
 
@@ -175,8 +176,7 @@ def _naive_wheel_levels(ps, counters):
 def wheel_euler(counters=None):
     """Euler's sieve driven by incrementally grown wheels (sieve W)."""
     yield 2
-    levels = _wheel_levels(
-        wheel_euler(), shared_deltas((1,), counters), counters)
+    levels = _wheel_levels(wheel_euler(), WheelChain((1,), counters), counters)
     comp = fold_union_p(levels, True, counters)
     yield from s_minus(count_from(3), comp, counters)
 
@@ -185,16 +185,14 @@ def wheel_euler_w4(counters=None):
     """Sieve W started from (w_4, s_4), skipping its first four rounds."""
     yield from (2, 3, 5, 7, 11)
     levels = _wheel_levels(islice(wheel_euler_w4(), 4, None),
-                           shared_deltas(wheel4(), counters), counters)
+                           WheelChain(wheel4(), counters), counters)
     comp = fold_union_p(levels, True, counters)
     yield from s_minus(_ts4(), comp, counters)
 
 
-def _wheel_levels(ps, w, counters):
-    # consuming prime p_k here, `w` replays the deltas of wheel k-1
+def _wheel_levels(ps, wheels, counters):
     for p in ps:
-        yield births(scaled(p, spin(cyc(w), p)), counters)
-        w = replay(next_wheel_deltas(w, p), counters)
+        yield births(scaled(p, spin(wheels.turn(p), p)), counters)
 
 
 def es_euler(counters=None):
@@ -222,7 +220,8 @@ def es_step(p, survivors, counters=None):
     """
     src, nxt = tee(survivors)
     erased_out, erased_filter = tee(scaled(p, src))
-    next(nxt)
+    if next(nxt, None) is None:
+        raise StreamError("cannot erase from an empty survivor stream")
     return erased_out, s_minus(nxt, erased_filter, counters)
 
 

@@ -5,7 +5,7 @@ pulled one element at a time. This module provides the merge/difference
 combinators the sieves are built from (one merge loop and one difference
 loop serve them all), a productivity-preserving fold over a stream of
 streams, cyclic wheel rolling, and two ways to share a stream between
-readers:
+readers, of which the sieves use only the first:
   * `fix_stream` ties a self-referential definition ("primes defined in
     terms of primes") on an `itertools.tee`. Its readers are taken while
     the producer starts, replay in C, and the tee frees each element once
@@ -60,13 +60,13 @@ class RunCounters:
     stream, or a key entering a priority queue); `comparisons` counts
     elements pulled into a merge or difference loop (in a fold, once per
     level an element crosses); `pulls` counts primes delivered;
-    `buffered`/`peak_buffer` count elements entering a shared stream: the
-    `fix_stream` knots of H (its primes and Hamming levels) and the
-    `replay` memos of the wheels of W and WPQ. A knot frees what all its
-    readers have passed, so for a knot the count is of produced elements,
-    not of live ones; it never decreases. The fold sieves keep no prime
-    memo, so theirs covers wheels only. `tally` and `popped`, when
-    enabled, record per-value multiplicities.
+    `buffered`/`peak_buffer` count the elements H's `fix_stream` knots
+    produce (its primes and Hamming levels) and the gaps entering the gap
+    lists of W's and WPQ's `WheelChain`, its base wheel's included. A
+    knot frees what all its readers have passed, so the count is of
+    produced elements, not of live ones; it never decreases. The fold
+    sieves keep no prime memo, so theirs covers wheels only. `tally` and
+    `popped`, when enabled, record per-value multiplicities.
 
     Every sieve's counters cover the outer instance only: the inner
     instances that feed the fold and queue sieves their base primes run

@@ -8,18 +8,17 @@ built either by a trial-division scan over one circumference
 (`next_wheel`): concatenate p copies of the rotated wheel, then merge the
 gaps that land on multiples of p.
 
-Eager `Wheel` values are for small k (the circumference is the primorial
-and the length is its totient, both of which explode); inside sieves the
-next wheel is produced lazily as a delta stream (`next_wheel_deltas`) so
-only the consumed prefix is ever computed.
+Eager `next_wheel` and a sieve instance's lazy `WheelChain` run the same
+merge step. Eager `Wheel` values are for small k (the circumference is the
+primorial and the length its totient, both of which explode); a chain
+computes only the prefix of each wheel that is read.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice
+from itertools import chain, cycle, islice, repeat
 
-from .streams import (StreamError, StreamFixpoint, StreamOverflow, U64_MAX, circ,
-                      replay, spin)
+from .streams import StreamError, StreamOverflow, U64_MAX, circ, spin
 
 
 @dataclass(frozen=True)
@@ -61,68 +60,93 @@ def wheel_from_primes(primes_prefix, p):
     return Wheel(tuple(deltas), len(prefix))
 
 
-def _merge_multiple_gaps(deltas, start, p):
-    """Fold together consecutive gaps whose landing point is a multiple of p.
+def _merge_step(src, length, p, start):
+    """The gaps of the wheel left by rolling `src` past p, from `start`.
 
-    `deltas` is the rotated wheel repeated p times; `start` the number the
-    new wheel will be rolled from. The final gap closes the circumference
-    and is emitted as-is (its landing point is never a multiple of p).
+    p turns of `src` (`length` gaps each), begun at its second gap, with
+    each gap that lands on a multiple of p merged into the next. While `src`
+    lacks a gap the step needs, it yields None; it reads on once the gap is in.
     """
-    it = iter(deltas)
     pos = start
-    try:
-        w = next(it)
-    except StopIteration:
-        raise StreamError("cannot merge an empty wheel") from None
-    for nxt in it:
-        if (pos + w) % p == 0:
-            w += nxt
-        else:
+    w = None
+    for i in range(1, p * length + 1):
+        i %= length
+        while len(src) <= i:
+            yield None
+        if w is None:
+            w = src[i]
+        elif (pos + w) % p:
             yield w
             pos += w
-            w = nxt
+            w = src[i]
+        else:
+            w += src[i]
+    if w is None:
+        raise StreamError("cannot merge an empty wheel")
     yield w
 
 
-def _rotated_copies(shared, p):
-    # p copies of the wheel with its first gap moved to the end; nothing
-    # at all for an empty wheel
-    for _ in range(p):
-        r = shared.reader()
-        for head in r:
-            break
-        else:
-            return
-        yield from r
-        yield head
+class WheelChain:
+    """The wheels of one sieve instance, each grown from the one before.
 
-
-def next_wheel_deltas(shared, p, np=None):
-    """Gap stream of the next wheel, produced lazily.
-
-    `shared` replays the deltas of w_{k-1} as rolled from p = p_k; the
-    result is w_k as rolled from np = p_{k+1} (defaulting to p plus the
-    first gap, which is always the next prime). Nothing is pulled from
-    `shared` until the result itself is pulled: wheels deep in a sieve's
-    chain stay dormant, which keeps the demand cascade shallow.
+    `turn(p)`, called once per base prime in increasing order, rolls the
+    current wheel from p, endlessly. Each call after the first opens the
+    next wheel: the last one rolled past the prime before p. Opening
+    computes nothing; a wheel's gap list grows as it is read, by one flat
+    loop over the merge steps (`_grow`), so a read crosses no frame per
+    earlier wheel. With `counters`, every gap entering a list, the base
+    wheel's included, counts as buffered.
     """
-    start = np
-    if start is None:
-        start = _FROM_HEAD
-    return _next_wheel_gaps(shared, p, start)
 
+    __slots__ = ("_gaps", "_steps", "_length", "_prime", "_counters")
 
-_FROM_HEAD = object()
+    def __init__(self, base, counters=None):
+        base = tuple(base)
+        self._gaps = [[]]
+        self._steps = [iter(base)]
+        self._length = len(base)
+        self._prime = None
+        self._counters = counters
 
+    def turn(self, p):
+        """The current wheel's gaps, endlessly, for rolling from the prime p."""
+        if self._prime is not None:
+            self._steps.append(_merge_step(
+                self._gaps[-1], self._length, self._prime, p))
+            self._gaps.append([])
+            self._length *= self._prime - 1
+        self._prime = p
+        return self._roll(len(self._gaps) - 1)
 
-def _next_wheel_gaps(shared, p, start):
-    if start is _FROM_HEAD:
-        for head in shared.reader():
-            break
-        else:
-            raise StreamError("cannot merge an empty wheel")
-        start = p + head
-    yield from _merge_multiple_gaps(_rotated_copies(shared, p), start, p)
+    def _roll(self, k):
+        gaps = self._gaps[k]
+        i = 0
+        while i < len(gaps) or self._grow(k):
+            yield gaps[i]
+            i += 1
+        if not gaps:
+            raise StreamError("cannot roll an empty wheel")
+        yield from chain.from_iterable(repeat(gaps))
+
+    def _grow(self, k):
+        # Append wheel k's next gap, or return False once it is whole. A
+        # step that lacks a gap of the wheel below yields None, and that
+        # wheel grows first: the steps waiting are always k down to j.
+        gaps, steps, counters = self._gaps, self._steps, self._counters
+        j = k
+        while True:
+            gap = next(steps[j], 0)
+            if gap is None:
+                j -= 1
+                continue
+            if not gap:
+                return False
+            gaps[j].append(gap)
+            if counters is not None:
+                counters.note_buffered()
+            if j == k:
+                return True
+            j += 1
 
 
 def next_wheel(w, p, np):
@@ -131,8 +155,7 @@ def next_wheel(w, p, np):
     if not deltas:
         return Wheel((1,), 0)
     index = w.index + 1 if isinstance(w, Wheel) and w.index is not None else None
-    rotated = deltas[1:] + deltas[:1]
-    return Wheel(tuple(_merge_multiple_gaps(rotated * p, np, p)), index)
+    return Wheel(tuple(_merge_step(deltas, len(deltas), p, np)), index)
 
 
 def next_wheel1(w, p):
@@ -204,23 +227,3 @@ def coprime_gaps(primes_prefix, start):
             yield n - prev
             prev = n
         n += 1
-
-
-def shared_deltas(wheel_or_iterable, counters=None):
-    """Wrap a gap sequence for shared, replayable consumption in sieves."""
-    if isinstance(wheel_or_iterable, StreamFixpoint):
-        return wheel_or_iterable
-    return replay(iter(tuple(wheel_or_iterable)), counters)
-
-
-def cyc(shared):
-    """circ over a shared delta stream; after the first pass it hands the
-    replay to a C-level cycle, which keeps the one copy of the wheel."""
-    r = shared.reader()
-    got = False
-    for d in r:
-        got = True
-        yield d
-    if not got:
-        raise ValueError("cannot roll an empty wheel")
-    yield from cycle(shared.reader())

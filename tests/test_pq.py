@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter, deque
 from itertools import count, islice
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,3 +183,25 @@ def test_oneill_queue_state_grows_slowly(name):
 @pytest.mark.parametrize("name", ["wpq", "wpq4", "epq4"])
 def test_euler_queue_state_stays_small(name):
     assert _traced_peak(PQ_VARIANTS[name], 2**14) < 4 * 2**20
+
+
+def test_queue_variants_leave_the_recursion_limit_alone():
+    script = textwrap.dedent("""
+        import sys
+        from primegen import oracle
+        from primegen.pq import PQ_VARIANTS
+        from primegen.streams import take
+        sys.setrecursionlimit(100)
+        expect = oracle.first_primes(20_000)
+        for name, variant in PQ_VARIANTS.items():
+            assert take(variant.factory(), 20_000) == expect, name
+            print(name)
+        assert sys.getrecursionlimit() == 100
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(PQ_VARIANTS)

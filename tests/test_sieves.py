@@ -27,7 +27,8 @@ from primegen.sieves import (
     wheel_euler,
     wheel_euler_w4,
 )
-from primegen.streams import RunCounters, nth, take
+from primegen.pq import PQ_VARIANTS
+from primegen.streams import RunCounters, StreamError, nth, take
 from test_pq import _traced_peak
 
 
@@ -151,6 +152,11 @@ def test_es_step_streams_match_set_induction():
         assert got == sorted(sets.erased[k - 1])
 
 
+def test_es_step_on_empty_survivors_is_an_error():
+    with pytest.raises(StreamError, match="empty survivor stream"):
+        es_step(2, iter([]))
+
+
 def test_es_erased_heads():
     survivors = count(2)
     erased1, survivors = es_step(2, survivors)
@@ -199,6 +205,16 @@ def test_fold_sieve_state_grows_slowly(name):
 @pytest.mark.parametrize("name", ["w", "w4"])
 def test_wheel_sieve_state_stays_small(name):
     assert _traced_peak(STREAM_VARIANTS[name], 2**14) < 0.7 * 2**20
+
+
+@pytest.mark.parametrize("variant", [
+    STREAM_VARIANTS["w"], STREAM_VARIANTS["w4"],
+    PQ_VARIANTS["wpq"], PQ_VARIANTS["wpq4"],
+], ids=lambda v: v.name)
+def test_wheel_chain_holds_each_wheel_once(variant):
+    # one gap list per wheel, rolled in place: no replay memo and no
+    # cycle's copy of it beside the list
+    assert _traced_peak(variant, 2**14) < 0.34 * 2**20
 
 
 @pytest.mark.parametrize("factory, figures", [

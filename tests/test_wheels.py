@@ -3,18 +3,16 @@ from math import gcd
 import pytest
 
 from primegen import oracle
-from primegen.streams import StreamError, StreamOverflow, replay, spin, take
+from primegen.streams import RunCounters, StreamError, StreamOverflow, circ, spin, take
 from primegen.wheels import (
     Wheel,
+    WheelChain,
     coprime_gaps,
-    cyc,
     next_wheel,
     next_wheel1,
-    next_wheel_deltas,
     precomputed_w4,
     s4_from,
     s4_stream,
-    shared_deltas,
     wheel_from_primes,
     wheel4,
 )
@@ -51,10 +49,12 @@ def test_next_wheel_empty_is_wheel_zero():
     assert next_wheel(Wheel((), None), 5, 7).deltas == (1,)
 
 
-@pytest.mark.parametrize("np", [None, 3])
-def test_next_wheel_deltas_of_empty_wheel_is_an_error(np):
-    with pytest.raises(StreamError, match="empty wheel"):
-        next(next_wheel_deltas(replay(iter(())), 2, np))
+def test_wheel_chain_of_empty_wheel_is_an_error():
+    wheels = WheelChain(())
+    with pytest.raises(StreamError, match="cannot roll an empty wheel"):
+        next(wheels.turn(2))
+    with pytest.raises(StreamError, match="cannot merge an empty wheel"):
+        next(wheels.turn(3))
 
 
 def test_next_wheel_from_wheel_zero():
@@ -94,7 +94,7 @@ def test_spin_enumerates_coprime_survivors(k):
     circumference = oracle.primorial(k)
     bound = 100_000
     got = []
-    for v in spin(cyc(shared_deltas(w)), p):
+    for v in spin(circ(w), p):
         if v > bound:
             break
         got.append(v)
@@ -131,27 +131,40 @@ def test_coprime_gaps_match_wheel():
     assert tuple(scanned[8:]) == w.deltas  # scan keeps rolling past one turn
 
 
-def test_next_wheel_deltas_lazy_and_correct():
-    shared = shared_deltas((2, 4))
-    lazy = next_wheel_deltas(shared, 5)
-    assert list(lazy) == [4, 2, 4, 2, 4, 6, 2, 6]
+def test_wheel_chain_matches_eager_wheels_up_to_seven():
+    primes = oracle.first_primes(8)
+    wheels = WheelChain((1,))
+    rolls = [wheels.turn(p) for p in primes]
+    eager = [Wheel((1,), 0)]
+    for p in primes[:-1]:
+        eager.append(next_wheel1(eager[-1], p))
+    # the deepest wheel first, so one read grows every wheel below it
+    for k in range(7, 0, -1):
+        deltas = eager[k].deltas
+        assert take(rolls[k], 2 * len(deltas)) == list(deltas * 2)
 
 
-def test_next_wheel_deltas_nothing_pulled_until_demand():
-    pulls = []
+def test_wheel_chain_matches_scan_from_eight_to_eleven():
+    primes = oracle.first_primes(12)
+    wheels = WheelChain(wheel4())
+    rolls = [wheels.turn(p) for p in primes[4:]]
+    for k in range(11, 7, -1):
+        scan = coprime_gaps(primes[:k], primes[k])
+        assert take(rolls[k - 4], 3000) == take(scan, 3000)
 
-    def noisy():
-        for d in (2, 4):
-            pulls.append(d)
-            yield d
 
-    shared = replay(noisy())
-    lazy = next_wheel_deltas(shared, 5)
-    assert pulls == []
+def test_wheel_chain_opens_wheels_unread():
+    counters = RunCounters()
+    wheels = WheelChain((2, 4), counters)
+    wheels.turn(5)
+    lazy = wheels.turn(7)
+    assert counters.buffered == 0
     assert next(lazy) == 4
-    assert pulls != []
+    # both gaps of the base wheel, then the first of the next
+    assert counters.buffered == 3
 
 
-def test_cyc_replays_small_wheels():
-    shared = shared_deltas((2, 4))
-    assert take(cyc(shared), 7) == [2, 4, 2, 4, 2, 4, 2]
+def test_wheel_chain_rolls_small_wheels():
+    wheels = WheelChain((2, 4))
+    assert take(wheels.turn(5), 7) == [2, 4, 2, 4, 2, 4, 2]
+    assert take(wheels.turn(7), 10) == [4, 2, 4, 2, 4, 6, 2, 6, 4, 2]
