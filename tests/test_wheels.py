@@ -49,12 +49,16 @@ def test_next_wheel_empty_is_wheel_zero():
     assert next_wheel(Wheel((), None), 5, 7).deltas == (1,)
 
 
-def test_wheel_chain_of_empty_wheel_is_an_error():
+@pytest.mark.parametrize("np", [None, 3])
+def test_next_wheel_deltas_of_empty_wheel_is_an_error(np):
     wheels = WheelChain(())
-    with pytest.raises(StreamError, match="cannot roll an empty wheel"):
-        next(wheels.turn(2))
-    with pytest.raises(StreamError, match="cannot merge an empty wheel"):
-        next(wheels.turn(3))
+    rolled = wheels.turn(2)
+    if np is None:
+        with pytest.raises(StreamError, match="cannot roll an empty wheel"):
+            next(rolled)
+    else:
+        with pytest.raises(StreamError, match="cannot merge an empty wheel"):
+            next(wheels.turn(np))
 
 
 def test_next_wheel_from_wheel_zero():
@@ -164,7 +168,13 @@ def test_wheel_chain_opens_wheels_unread():
     assert counters.buffered == 3
 
 
-def test_wheel_chain_rolls_small_wheels():
+def test_next_wheel_deltas_lazy_and_correct():
+    wheels = WheelChain((2, 4))
+    wheels.turn(5)
+    lazy = wheels.turn(7)
+    assert take(lazy, 10) == [4, 2, 4, 2, 4, 6, 2, 6, 4, 2]
+
+
+def test_cyc_replays_small_wheels():
     wheels = WheelChain((2, 4))
     assert take(wheels.turn(5), 7) == [2, 4, 2, 4, 2, 4, 2]
-    assert take(wheels.turn(7), 10) == [4, 2, 4, 2, 4, 6, 2, 6, 4, 2]
