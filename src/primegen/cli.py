@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
 
-Benchmark cells run uninstrumented so wall times are honest; the counter
-columns of a bench CSV are therefore zero. Use `stats` for counters.
+Benchmark cells run uninstrumented so wall times are honest; `stats`
+reports the counters.
 """
 
 import argparse
@@ -23,8 +23,8 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import astuple, dataclass
+from itertools import count
 from math import gcd, isqrt
 
 from . import ALL_VARIANTS, oracle
@@ -37,8 +37,7 @@ EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
-CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns", "composites",
-               "comparisons", "pulls", "peak_buffer")
+CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns")
 
 #: column order of the stream-programs table and the queue-programs table
 TABLE1_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4")
@@ -70,15 +69,6 @@ class RunStats:
     n: int
     nth_prime: int
     wall_ns: int
-    composites: int = 0
-    comparisons: int = 0
-    pulls: int = 0
-    peak_buffer: int = 0
-
-    def row(self):
-        return (self.variant, self.n, self.nth_prime, self.wall_ns,
-                self.composites, self.comparisons, self.pulls,
-                self.peak_buffer)
 
 
 @dataclass
@@ -122,14 +112,9 @@ def run_to_nth(variant, n, counters=None, timeout_s=None):
         if deadline is not None and time.perf_counter_ns() > deadline:
             raise CellTimeout(variant.name)
     wall = time.perf_counter_ns() - started
-    stats = RunStats(variant=variant.label, n=n, nth_prime=value, wall_ns=wall)
     if counters is not None:
         counters.pulls += got
-        stats.composites = counters.composites
-        stats.comparisons = counters.comparisons
-        stats.pulls = counters.pulls
-        stats.peak_buffer = counters.peak_buffer
-    return stats
+    return RunStats(variant=variant.label, n=n, nth_prime=value, wall_ns=wall)
 
 
 def primes_up_to_bound(variant, bound, counters=None):
@@ -178,6 +163,8 @@ def cmd_list(args):
     if args.n is None and args.bound is None:
         raise UsageError("list needs --n or --bound")
     if args.n is not None:
+        if args.n < 0:
+            raise UsageError("--n must be >= 0")
         values = take(variant.factory(), args.n)
         if len(values) < args.n:
             raise StreamError("variant ended early")
@@ -230,11 +217,15 @@ def _parse_exponents(text):
             lo, hi = int(lo), int(hi)
             if lo > hi:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",") if part]
+            exponents = list(range(lo, hi + 1))
+        else:
+            exponents = [int(part) for part in text.split(",") if part]
+        if min(exponents, default=0) < 0:
+            raise ValueError
+        return exponents
     except ValueError:
         raise UsageError("bad exponent spec %r (use e.g. 14..18 or 14,16)"
-                         ) from None
+                         % text) from None
 
 
 def _variant_list(args, default):
@@ -292,7 +283,7 @@ def format_bench(report, variants, ns, fmt, paper=False):
         payload = {
             "environment": report.environment,
             "repeats": report.repeats,
-            "rows": [dict(zip(CSV_COLUMNS, r.row())) for r in report.rows],
+            "rows": [dict(zip(CSV_COLUMNS, astuple(r))) for r in report.rows],
             "timeouts": sorted(list(t) for t in report.timeouts),
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -302,9 +293,9 @@ def format_bench(report, variants, ns, fmt, paper=False):
             for name in names:
                 row = by_cell.get((labels[name], n))
                 if row is None:
-                    lines.append("%s,%d,,-,0,0,0,0" % (labels[name], n))
+                    lines.append("%s,%d,,-" % (labels[name], n))
                 else:
-                    lines.append(",".join(str(c) for c in row.row()))
+                    lines.append(",".join(str(c) for c in astuple(row)))
         return "\n".join(lines) + "\n"
     # markdown pivot shaped like the results tables
     head = ["n"] + [labels[name] for name in names]
@@ -324,6 +315,8 @@ def format_bench(report, variants, ns, fmt, paper=False):
 
 
 def cmd_bench(args):
+    if args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
     variants = _variant_list(args, default=[*TABLE1_ORDER, *TABLE3_ORDER])
     if args.n is not None:
         ns = [args.n]
@@ -372,10 +365,9 @@ def _check_wheels():
 
 def _check_euler_sets(bound):
     from .sieves import es_step
-    from .streams import count_from
 
     primes = oracle.first_primes(10)
-    survivors = count_from(2)
+    survivors = count(2)
     for k, p in enumerate(primes, start=1):
         erased, survivors_next = es_step(p, survivors)
         sets = oracle.euler_sets_brute_force(k, bound)

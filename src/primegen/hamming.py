@@ -1,23 +1,23 @@
 """Generalized Hamming numbers, each generated exactly once.
 
-The driving identity: the multiplicative closure of a generator set P
-splits, for any p in P, into p times the closure and the closure of the
-remaining generators. With prime generators those two parts are disjoint,
-so merging them with `d_union` produces every element exactly once --
-unlike the textbook three-way merge, which rebuilds a number once per
-ordered factorization.
+The driving identity: the composites of a prime set P (the products of
+two or more of its primes) split, for the least p in P, into p times P's
+closure (P and its composites) and the composites of P without p. Those
+two parts are disjoint, so merging them with `d_union` produces every
+element exactly once -- unlike the textbook three-way merge, which
+rebuilds a number once per ordered factorization.
 
-`composites_of_primes` is the variant the H sieve needs: the generators
-themselves are left out of the output but re-inserted internally before
-multiplying, so the composites of a prime suffix come out in order, once
-each.
+`composites_of_primes` is that recursion, the one the H sieve needs. The
+multiplicative closure of the generators, `hamming_stream`, is the
+generators `d_union` their composites: disjoint again, for primes.
 
 Each level, one per generator x, is a `fix_stream` knot: it reads its own
 output back, scaled by x, through a tee copy taken when the level starts.
 That copy trails the level's output v at v/x, so the level holds only
-(v/x, v]. A level takes the next generator when it starts, from one plain
-iterator; a composites level also reads the generators above its own, so
-it splits the iterator with `tee`, keeping one copy and handing the other
+(v/x, v]. Levels open only as the squares come due, so only the
+generators up to about the square root of the output have one. A level
+takes x from one iterator and reads the generators above x too, so it
+splits the iterator with `tee`, keeping one copy and handing the other
 to the next level.
 """
 
@@ -33,21 +33,9 @@ def hamming_stream(gens, counters=None):
     guarantee); it may be unbounded -- the recursion over the tail is
     only built on first demand.
     """
-    return _hamming_level(iter(gens), counters)
-
-
-def _hamming_level(gens, counters):
-    def knot(h):
-        x = next(gens, None)
-        if x is None:
-            return iter(())
-        own = births(scaled(x, h.reader()), counters)
-        rest = _hamming_level(gens, counters)
-        if counters is not None:
-            counters.born(x)
-        return chain([x], d_union(own, rest, counters))
-
-    return fix_stream(knot, counters)
+    own, products = tee(gens)
+    return d_union(births(own, counters),
+                   composites_of_primes(products, counters), counters)
 
 
 def composites_of_primes(ps, counters=None, start=0):

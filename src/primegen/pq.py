@@ -17,12 +17,14 @@ the queue holds about pi(sqrt(n)) entries while sieving to n, and the
 queue state is O(pi(sqrt(n))), apart from WPQ's wheels and EPQ's
 survivor windows. All three flavours count a prime's first key p*p in
 `RunCounters` when the candidates reach p*p; the inner instances count
-nothing.
+nothing. The driver is mounted like the fold sieves (`wheels.mount`) and
+takes the same contract: `multiples(p)` returns p's composites from p*p
+on, and the driver drops that head, which is the entry's first key.
 
-Three flavours of entry:
-  oneill  values p*p + p, p*p + 2p, ... (with w4: p times the coprime
-          survivors past p); composites with several prime factors are
-          reached once per factor
+Three flavours of entry, each run from p*p:
+  oneill  values p*p, p*p + p, p*p + 2p, ... (with w4: p times the
+          coprime survivors from p); composites with several prime
+          factors are reached once per factor
   epq     the erased-set streams of the survivor induction; disjoint, so
           every composite enters the queue exactly once
   wpq     the same sets as the rolling wheel's gaps scaled by p and
@@ -35,8 +37,8 @@ from collections import deque
 from itertools import accumulate, count, cycle, islice
 
 from .sieves import Variant
-from .streams import count_from, scaled
-from .wheels import WheelChain, _w4_offsets, s4_stream, wheel4
+from .streams import scaled
+from .wheels import WheelChain, _w4_offsets, mount, wheel4
 
 
 class CompositePQ:
@@ -88,19 +90,15 @@ class CompositePQ:
 def _postponed(w4, multiples, counters, sieve):
     """The candidate loop shared by every queue sieve.
 
-    `multiples(p)` returns base prime p's keys after p*p; it is called in
-    increasing order of p. `sieve()` makes the uncounted instance that
-    feeds the later base primes.
+    `multiples(p)` returns base prime p's composites from p*p on; it is
+    called in increasing order of p, from the last mounted prime on.
+    `sieve()` makes the uncounted instance that feeds the later ones.
     """
     pq = CompositePQ(counters)
     insert, cross_off = pq.insert, pq.cross_off
-    if w4:
-        yield from (2, 3, 5, 7)
-        cand = s4_stream()
-    else:
-        cand = count_from(2)
-    p = next(cand)  # both candidate streams are endless
-    yield p
+    mounted, _, cand = mount(w4)
+    yield from mounted
+    p = next(cand)  # the last mounted prime, already out
     q = p * p
     feed = None
     for c in cand:
@@ -108,27 +106,22 @@ def _postponed(w4, multiples, counters, sieve):
             if not cross_off(c):
                 yield c
             continue
-        insert(p, multiples(p))
+        keys = multiples(p)
+        next(keys)  # p*p, the entry's first key
+        insert(p, keys)
         cross_off(c)
         if feed is None:
             # the inner instance repeats the primes up to p first
-            feed = islice(sieve(), 5 if w4 else 1, None)
+            feed = islice(sieve(), len(mounted), None)
         p = next(feed)  # an instance of an endless sieve
         q = p * p
-
-
-def _after_square(keys):
-    # drop the leading p*p of an `accumulate(..., initial=p*p)`, which
-    # yields its initial value even when the gaps are empty
-    next(keys)
-    return keys
 
 
 def oneill_sieve(w4=False, counters=None):
     """The faithful incremental Sieve of Eratosthenes.
 
-    Base prime p's entry holds the further multiples of p: steps of p, or
-    p times the wheel survivors past p when mounted on w_4.
+    Base prime p's entry holds the multiples of p from p*p: steps of p, or
+    p times the wheel survivors from p when mounted on w_4.
     """
     if w4:
         offsets = _w4_offsets()
@@ -140,11 +133,11 @@ def oneill_sieve(w4=False, counters=None):
             i = offsets[p % 210]
             step = {d: p * d for d in sizes}
             gaps = [step[d] for d in deltas[i:] + deltas[:i]]
-            return _after_square(accumulate(cycle(gaps), initial=p * p))
+            return accumulate(cycle(gaps), initial=p * p)
     else:
 
         def multiples(p):
-            return count(p * p + p, p)
+            return count(p * p, p)
 
     return _postponed(w4, multiples, counters, lambda: oneill_sieve(w4))
 
@@ -174,14 +167,14 @@ class _ErasedCascade:
         self._counters = counters
 
     def open_round(self, prime):
-        """Start erasing with `prime`; returns its erased values after prime**2.
+        """Start erasing with `prime`; returns its erased values from prime**2.
 
-        The square seeds the round's own filter (the erased set's source
-        starts at the prime itself); the queue enters it as the entry's
-        first key, so the queue feed carries only the later erased values.
-        Rounds must open in increasing order of their primes.
+        The square seeds the round's own filter and its queue feed: the
+        prime heads its own round and is dropped from the flow before it
+        grows either. Rounds must open in increasing order of their primes.
         """
-        self._rounds.append([prime, prime * prime, deque(), deque(), deque()])
+        square = prime * prime
+        self._rounds.append([prime, square, deque(), deque((square,)), deque()])
         return self._erased(len(self._rounds) - 1)
 
     def _erased(self, index):
@@ -234,10 +227,9 @@ def epq_sieve(w4=False, counters=None):
     Base prime p, heading the survivors of the previous rounds, gets key
     p*p with the rest of the erased set p * survivors, and later rounds
     get the survivors past p with that set removed. The cascade reads
-    its own copy of the candidates after the first.
+    its own copy of the candidates, from the last mounted prime on.
     """
-    base = islice(s4_stream(), 1, None) if w4 else count_from(3)
-    cascade = _ErasedCascade(base, counters)
+    cascade = _ErasedCascade(mount(w4)[2], counters)
     return _postponed(w4, cascade.open_round, counters, lambda: epq_sieve(w4))
 
 
@@ -248,10 +240,10 @@ def wpq_sieve(w4=False, counters=None):
     wheel's gaps scaled by p; the next base prime gets the wheel after
     it, this one rolled past p.
     """
-    wheels = WheelChain(wheel4() if w4 else (1,), counters)
+    wheels = WheelChain(mount(w4)[1], counters)
 
     def multiples(p):
-        return _after_square(accumulate(scaled(p, wheels.turn(p)), initial=p * p))
+        return accumulate(scaled(p, wheels.turn(p)), initial=p * p)
 
     return _postponed(w4, multiples, counters, lambda: wpq_sieve(w4))
 

@@ -14,25 +14,28 @@ they differ only in how the composites being crossed off are generated:
   es_euler         Euler crossing-off by the erased/survivor induction
   primes_h         Euler crossing-off via Hamming-number recursion
 
-The *_w4 forms mount the precomputed 210-wheel: candidates start at s_4
-and the first four crossing-off rounds are skipped, which for the Hamming
-and survivor forms is also what keeps the subset precondition of
-`s_minus` intact. All variants share the same stream kernel and the same
-optional instrumentation so measured differences reflect structure, not
-plumbing.
+The *_w4 forms mount the precomputed 210-wheel (`wheels.mount`): they
+yield 2, 3, 5, 7 and 11 up front, sieve s_4 and skip the first four
+crossing-off rounds. All variants share one stream kernel and one optional
+instrumentation, so measured differences reflect structure, not plumbing.
 
-The fold sieves (bird, wheel, ES and naive wheel) read their base primes
-from a second, uncounted instance of the same sieve, created on the first
-pull, as the queue sieves in `pq` do (the "double primes feed" of the
-postponed sieve, https://wiki.haskell.org/Prime_numbers). It only has to
-reach the square root of the outer candidates, so no prime memo is kept.
-Only `primes_h`/`primes_h4` tie a sharing knot (`fix_stream`): H's level
-for x reads the primes up to v/x, half the range when x = 2, so an inner
-instance would redo most of the outer one's work. H takes its one reader
-of that knot before its first prime goes out; the Hamming levels split
-that reader with `tee`, one copy per level, and every level is a knot of
-its own (see `hamming`). W and W4 grow their wheels in one `WheelChain`
-per instance (see `wheels`).
+The fold sieves (bird, naive wheel, W and ES) run on one driver,
+`_folded`, as the queue sieves run on `pq._postponed`. Both take the same
+contract: `level(p)` returns base prime p's composites from p*p on, and is
+called once per base prime in increasing order; a level that needs state
+across primes closes over it (W's `WheelChain`, ES's survivors). `_folded`
+merges the levels with `fold_union_p`, disjoint for the Euler forms, and
+takes them from the candidates with `s_minus`: each lies among them. The
+base primes come from a second, uncounted instance of the same sieve, which
+only has to reach the square root of the outer candidates (the "double
+primes feed", https://wiki.haskell.org/Prime_numbers): no prime memo is kept.
+
+Only H ties a sharing knot (`fix_stream`): its level for x reads the
+primes up to v/x, half the range when x = 2, so an inner instance would
+redo most of the outer one's work. H takes its one reader of the knot
+before its first prime goes out, past the mounted primes but the last,
+which keeps its composites inside the candidates; the Hamming levels split
+that reader with `tee` (see `hamming`).
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,6 @@ from .hamming import composites_of_primes
 from .streams import (
     StreamError,
     births,
-    count_from,
     ensure_recursion_room,
     fix_stream,
     fold_union_p,
@@ -51,7 +53,7 @@ from .streams import (
     scaled,
     spin,
 )
-from .wheels import WheelChain, coprime_gaps, s4_stream, wheel4
+from .wheels import WheelChain, coprime_gaps, mount, s4_from
 
 DEFAULT_CAP = 10_000
 
@@ -108,7 +110,7 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
     bounded by the interpreter stack.
     """
     ensure_recursion_room(cap + 2_000)
-    cs = count_from(2)
+    cs = count(2)
     for _ in range(cap):
         a, b = tee(cs)
         # endless: every round leaves the primes past p in the stream
@@ -118,37 +120,29 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
     raise VariantCapExceeded("naive_euler is capped at %d primes" % cap)
 
 
+def _folded(w4, level, disjoint, counters, sieve):
+    """The mounted candidates minus the union of `level(p)` over the base
+    primes p from the last mounted one, fed by the uncounted `sieve()`."""
+    mounted, _, cand = mount(w4)
+    yield from mounted
+    next(cand)  # the last mounted prime, already out
+    levels = (births(level(p), counters)
+              for p in islice(sieve(), len(mounted) - 1, None))
+    yield from s_minus(cand, fold_union_p(levels, disjoint, counters), counters)
+
+
 def bird_sieve(counters=None):
     """Candidates minus the union of every prime's multiples stream."""
-    levels = (
-        births(scaled(p, count_from(p)), counters) for p in bird_sieve())
-    yield 2
-    yield from minus(
-        count_from(3), fold_union_p(levels, False, counters), counters)
+    return _folded(False, lambda p: scaled(p, count(p)), False, counters,
+                   bird_sieve)
 
 
 def bird_sieve_w4(counters=None):
     """Bird's sieve on the 210-wheel: multiples of p start at p*p and step
     through the coprime survivors, so the first four Euler rounds come for
     free and composites with a factor below 11 are never formed."""
-    levels = (
-        births(_coprime_multiples(p), counters)
-        for p in islice(bird_sieve_w4(), 4, None))
-    yield from (2, 3, 5, 7, 11)
-    yield from s_minus(_ts4(), fold_union_p(levels, False, counters), counters)
-
-
-def _coprime_multiples(p):
-    # p * (p : S_4 past p)
-    from .wheels import s4_from
-
-    return scaled(p, s4_from(p))
-
-
-def _ts4():
-    cand = s4_stream()
-    next(cand)  # spin yields its start first, without reading a gap
-    return cand
+    return _folded(True, lambda p: scaled(p, s4_from(p)), False, counters,
+                   bird_sieve_w4)
 
 
 def naive_wheel_euler(counters=None):
@@ -158,57 +152,56 @@ def naive_wheel_euler(counters=None):
     against the primes before it; the levels share one growing prefix of
     those primes, so only the wheel is rebuilt per level.
     """
-    yield 2
-    comp = fold_union_p(
-        _naive_wheel_levels(naive_wheel_euler(), counters), True, counters)
-    yield from s_minus(count_from(3), comp, counters)
-
-
-def _naive_wheel_levels(ps, counters):
     prefix = []
-    for p in ps:
+
+    def level(p):
         # coprime_gaps reads its prefix lazily: hand it this level's copy
         gaps = coprime_gaps(tuple(prefix), p)
-        yield births(scaled(p, spin(gaps, p)), counters)
         prefix.append(p)
+        return scaled(p, spin(gaps, p))
+
+    return _folded(False, level, True, counters, naive_wheel_euler)
 
 
 def wheel_euler(counters=None):
     """Euler's sieve driven by incrementally grown wheels (sieve W)."""
-    yield 2
-    levels = _wheel_levels(wheel_euler(), WheelChain((1,), counters), counters)
-    comp = fold_union_p(levels, True, counters)
-    yield from s_minus(count_from(3), comp, counters)
+    return _folded(False, _rolling(False, counters), True, counters,
+                   wheel_euler)
 
 
 def wheel_euler_w4(counters=None):
     """Sieve W started from (w_4, s_4), skipping its first four rounds."""
-    yield from (2, 3, 5, 7, 11)
-    levels = _wheel_levels(islice(wheel_euler_w4(), 4, None),
-                           WheelChain(wheel4(), counters), counters)
-    comp = fold_union_p(levels, True, counters)
-    yield from s_minus(_ts4(), comp, counters)
+    return _folded(True, _rolling(True, counters), True, counters,
+                   wheel_euler_w4)
 
 
-def _wheel_levels(ps, wheels, counters):
-    for p in ps:
-        yield births(scaled(p, spin(wheels.turn(p), p)), counters)
+def _rolling(w4, counters):
+    # W's level: p times the current wheel rolled from p
+    wheels = WheelChain(mount(w4)[1], counters)
+    return lambda p: scaled(p, spin(wheels.turn(p), p))
 
 
 def es_euler(counters=None):
     """Euler's sieve by the erased/survivor induction (sieve ES)."""
-    yield 2
-    levels = _es_levels(es_euler(), count_from(2), counters)
-    comp = fold_union_p(levels, True, counters)
-    yield from s_minus(count_from(3), comp, counters)
+    return _folded(False, _erasing(False, counters), True, counters, es_euler)
 
 
 def es_euler_w4(counters=None):
     """Sieve ES with candidates and survivors seeded from s_4."""
-    yield from (2, 3, 5, 7, 11)
-    levels = _es_levels(islice(es_euler_w4(), 4, None), s4_stream(), counters)
-    comp = fold_union_p(levels, True, counters)
-    yield from s_minus(_ts4(), comp, counters)
+    return _folded(True, _erasing(True, counters), True, counters,
+                   es_euler_w4)
+
+
+def _erasing(w4, counters):
+    # ES's level: p times the survivors of the levels before it
+    survivors = mount(w4)[2]
+
+    def level(p):
+        nonlocal survivors
+        erased, survivors = es_step(p, survivors, counters)
+        return erased
+
+    return level
 
 
 def es_step(p, survivors, counters=None):
@@ -225,37 +218,26 @@ def es_step(p, survivors, counters=None):
     return erased_out, s_minus(nxt, erased_filter, counters)
 
 
-def _es_levels(ps, survivors, counters):
-    for p in ps:
-        erased, survivors = es_step(p, survivors, counters)
-        yield births(erased, counters)
-
-
 def primes_h(counters=None):
     """Euler's sieve via the Hamming-number recursion (sieve H)."""
-
-    def knot(h):
-        primes = h.reader()
-        yield 2
-        comp = composites_of_primes(primes, counters)
-        yield from s_minus(count_from(3), comp, counters)
-
-    return fix_stream(knot, counters)
+    return _knotted(False, counters)
 
 
 def primes_h4(counters=None):
-    """Sieve H over the prime suffix past 7, sieving s_4.
+    """Sieve H over the prime suffix from 11, sieving s_4."""
+    return _knotted(True, counters)
 
-    Dropping the mounted primes from the generator list is required, not
-    just faster: the composites must stay inside the candidate stream for
-    `s_minus` to be sound.
-    """
+
+def _knotted(w4, counters):
+    # H's knot: the candidates minus the composites of its own primes
+    mounted, _, cand = mount(w4)
 
     def knot(h):
-        primes = h.reader()
-        yield from (2, 3, 5, 7, 11)
-        comp = composites_of_primes(primes, counters, start=4)
-        yield from s_minus(_ts4(), comp, counters)
+        primes = h.reader(len(mounted) - 1)
+        yield from mounted
+        next(cand)  # the last mounted prime, already out
+        comp = composites_of_primes(primes, counters)
+        yield from s_minus(cand, comp, counters)
 
     return fix_stream(knot, counters)
 

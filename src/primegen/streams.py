@@ -25,7 +25,7 @@ Conventions:
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, cycle, islice, tee
+from itertools import cycle, islice, tee
 
 U64_MAX = (1 << 64) - 1
 
@@ -106,11 +106,6 @@ class RunCounters:
         self._last_popped = key
         if self.popped is not None:
             self.popped[key] += 1
-
-
-def count_from(start, step=1):
-    """The stream start, start+step, ... (unchecked; see `spin` for wheels)."""
-    return count(start, step)
 
 
 def take(stream, n):

@@ -12,11 +12,14 @@ Eager `next_wheel` and a sieve instance's lazy `WheelChain` run the same
 merge step. Eager `Wheel` values are for small k (the circumference is the
 primorial and the length its totient, both of which explode); a chain
 computes only the prefix of each wheel that is read.
+
+`mount(w4)` is the one place a sieve learns how it is mounted: bare, or
+on the precomputed 210-wheel w_4 with the candidates s_4.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 
 from .streams import StreamError, StreamOverflow, U64_MAX, circ, spin
 
@@ -183,6 +186,18 @@ def s4_stream():
 def precomputed_w4():
     """(w_4, s_4) as mounted on the sieves."""
     return wheel4(), s4_stream()
+
+
+def mount(w4):
+    """(primes, wheel, candidates) of a sieve, bare or on the 210-wheel.
+
+    The primes are those the sieve yields before it sieves, the wheel is
+    the one its `WheelChain` starts from, and the candidates run endlessly
+    from the last mounted prime on.
+    """
+    if w4:
+        return (2, 3, 5, 7, 11), wheel4(), s4_stream()
+    return (2,), (1,), count(2)
 
 
 @lru_cache(maxsize=1)

@@ -148,6 +148,19 @@ def test_closed_stdout_ends_quietly(argv):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bench", "--algo", "td", "--repeats", "0"), "--repeats must be >= 1"),
+    (("bench", "--algo", "td", "--repeats", "-2"), "--repeats must be >= 1"),
+    (("bench", "--algo", "td", "--exponents", "-1"), "bad exponent spec '-1'"),
+    (("bench", "--algo", "td", "--exponents", "x..5"), "bad exponent spec 'x..5'"),
+    (("list", "--algo", "td", "--n", "-3"), "--n must be >= 0"),
+], ids=["zero-repeats", "negative-repeats", "negative-exponent",
+        "garbled-exponents", "negative-list-n"])
+def test_bad_input_is_usage_error(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and message in err
+
+
 def test_verify_empty_variant_list_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--algo", ",")
     assert code == 1 and "empty variant list" in err
@@ -191,7 +204,7 @@ def test_bench_csv_columns(capsys):
                        "--repeats", "1", "--format", "csv")
     lines = out.strip().splitlines()
     assert code == 0
-    assert lines[0] == "variant,n,p_n,wall_ns,composites,comparisons,pulls,peak_buffer"
+    assert lines[0] == "variant,n,p_n,wall_ns"
     assert len(lines) == 3
     row = lines[1].split(",")
     assert row[0] == "ES" and row[1] == "32"

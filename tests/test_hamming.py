@@ -46,6 +46,13 @@ def test_hamming_over_prime_stream():
     assert got == oracle.smooth_up_to(primes, got[-1])
 
 
+def test_hamming_over_many_generators_opens_few_levels():
+    # the closure of the primes up to 27449 is every number from 2 to it;
+    # only the generators up to its square root open a level
+    primes = oracle.first_primes(3000)
+    assert take(hamming_stream(iter(primes)), 27448) == list(range(2, 27450))
+
+
 def test_classic_hamming_prefix():
     assert take(classic_hamming3(), 5) == [1, 2, 3, 4, 5]
 

@@ -8,6 +8,7 @@ from primegen.wheels import (
     Wheel,
     WheelChain,
     coprime_gaps,
+    mount,
     next_wheel,
     next_wheel1,
     precomputed_w4,
@@ -114,6 +115,15 @@ def test_precomputed_w4():
                             107, 109, 113, 121]
     density = 1 - len(w.deltas) / sum(w.deltas)
     assert abs(density - 0.77) < 0.01
+
+
+def test_mount_bare_and_on_the_wheel():
+    primes, wheel, cand = mount(False)
+    assert primes == (2,) and sum(wheel) == 1
+    assert take(cand, 3) == [2, 3, 4]
+    primes, wheel, cand = mount(True)
+    assert primes == (2, 3, 5, 7, 11) and sum(wheel) == 210
+    assert take(cand, 3) == [11, 13, 17]
 
 
 def test_w4_is_cached_object():
