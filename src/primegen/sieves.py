@@ -26,9 +26,14 @@ called once per base prime in increasing order; a level that needs state
 across primes closes over it (W's `WheelChain`, ES's survivors). `_folded`
 merges the levels with `fold_union_p`, disjoint for the Euler forms, and
 takes them from the candidates with `s_minus`: each lies among them. The
-base primes come from a second, uncounted instance of the same sieve, which
-only has to reach the square root of the outer candidates (the "double
-primes feed", https://wiki.haskell.org/Prime_numbers): no prime memo is kept.
+fold is a skewed tree (see `fold_union_p`): a composite from the k-th level
+crosses about 2*log2(k) merge frames, not the k of a linear fold, so no fold
+sieve raises the recursion limit. A level is built only once the composites
+pass the head of the level built last, so the fold holds at most
+pi(sqrt(v)) + 1 levels when it reaches v. The base primes come from a
+second, uncounted instance of the same sieve, which only has to reach the
+square root of the outer candidates (the "double primes feed",
+https://wiki.haskell.org/Prime_numbers): no prime memo is kept.
 
 Only H ties a sharing knot (`fix_stream`): its level for x reads the
 primes up to v/x, half the range when x = 2, so an inner instance would

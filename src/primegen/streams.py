@@ -3,7 +3,7 @@
 Streams are plain Python iterators of weakly increasing 64-bit naturals,
 pulled one element at a time. This module provides the merge/difference
 combinators the sieves are built from (one merge loop and one difference
-loop serve them all), a productivity-preserving fold over a stream of
+loop serve them all), a productivity-preserving tree fold over a stream of
 streams, cyclic wheel rolling, and two ways to share a stream between
 readers, of which the sieves use only the first:
   * `fix_stream` ties a self-referential definition ("primes defined in
@@ -29,9 +29,11 @@ from itertools import cycle, islice, tee
 
 U64_MAX = (1 << 64) - 1
 
-# pulling one element can cross a few suspended frames per sieving round;
-# this is enough headroom for hundreds of rounds while staying well clear
-# of the interpreter's C stack
+# a `fix_stream` knot (H's Hamming levels) nests a few suspended frames per
+# sieving round, so one pull can cross hundreds of them; this is headroom for
+# hundreds of rounds, well clear of the interpreter's C stack. `naive_euler`
+# asks for one frame per prime of its cap instead. The folds need none: a
+# tree fold is about 2*log2(k) frames deep.
 _RECURSION_ROOM = 6_000
 
 
@@ -59,7 +61,8 @@ class RunCounters:
     `composites` counts generation events (a value entering a composites
     stream, or a key entering a priority queue); `comparisons` counts
     elements pulled into a merge or difference loop (in a fold, once per
-    level an element crosses); `pulls` counts primes delivered;
+    tree node an element crosses: about 2*log2(k) for the k-th level);
+    `pulls` counts primes delivered;
     `buffered`/`peak_buffer` count the elements H's `fix_stream` knots
     produce (its primes and Hamming levels) and the gaps entering the gap
     lists of W's and WPQ's `WheelChain`, its base wheel's included. A
@@ -185,33 +188,51 @@ def _pulled(source, counters):
         yield v
 
 
-def _merge(xs, ys, disjoint, streams=None, counters=None):
-    if streams is not None:
-        # a fold node: xs is the next non-empty stream, and its head goes
-        # out before ys, the rest of the fold, is even built
-        for xs in streams:
-            x = next(xs, None)
-            if x is not None:
-                break
-        else:
+def _merge(xs, ys, disjoint, fold=None, span=0):
+    if fold is None:
+        nx = xs.__next__
+        ny = ys.__next__
+        try:
+            x = nx()
+        except StopIteration:
+            yield from ys
             return
-        yield x
-        ys = _merge(None, None, disjoint, streams, counters)
-        if counters is not None:
-            ys = _pulled(ys, counters)
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
-        yield from ys
-        return
-    try:
-        y = ny()
-    except StopIteration:
-        yield x
-        yield from xs
-        return
+        try:
+            y = ny()
+        except StopIteration:
+            yield x
+            yield from xs
+            return
+    else:
+        # a fold node over `span` leaves: a balanced group of them, or, when
+        # span is negative, the spine of groups of -span, -2*span, ... leaves
+        left = -span if span < 0 else span >> 1
+        right = 2 * span if span < 0 else left
+        x, xs = fold.grow(left)
+        if x is None:
+            return
+        nx = xs.__next__
+        # the right side is built only once the left's next element passes
+        # the head of the level forced last: every unforced level starts
+        # above that head, so until then the left alone is due
+        while True:
+            yield x
+            try:
+                x = nx()
+            except StopIteration:
+                y, ys = fold.grow(right)
+                if y is not None:
+                    yield y
+                    yield from ys
+                return
+            if x > fold.last:
+                break
+        y, ys = fold.grow(right)
+        if y is None:
+            yield x
+            yield from xs
+            return
+        ny = ys.__next__
     while True:
         if x < y:
             yield x
@@ -349,24 +370,56 @@ def spin(deltas, start):
 
 
 def fold_union_p(streams, disjoint=False, counters=None):
-    """Right fold of `union_p` (or `d_union_p`) over a stream of streams.
+    """Fold of `union_p` (or `d_union_p`) over a stream of streams.
 
-    The head of each inner stream is emitted before the rest of the fold
-    is even constructed, so pulling the first n elements forces only the
-    inner streams whose heads may already be due -- for Bird-style
-    multiples, at most pi(sqrt(value_n)) + 1 of them. Empty inner streams
-    are skipped.
+    The inner streams must be strictly increasing with strictly increasing
+    heads; empty ones are skipped. The fold is a skewed tree of `_merge`
+    nodes (the "tree-merging" sieve, https://wiki.haskell.org/Prime_numbers):
+    a spine takes the inner streams in groups of 1, 2, 4, ..., and each group
+    is a balanced tree whose leaves are the inner streams themselves. An
+    element of the k-th inner stream crosses about 2*log2(k) suspended
+    frames on its way out, where a linear right fold would make it cross k;
+    each element is still merged at every node it crosses.
 
-    Each fold node is one `_merge` generator: an element produced by the
-    k-th inner stream crosses k suspended frames on its way out, which is
-    the O(n*m) cost model this family of sieves lives with.
+    Every node emits its left side's head before its right side exists, and
+    builds the right side only once the left's next element passes the head
+    of the inner stream forced last, above which every unforced stream
+    starts. So pulling elements up to a value v forces only the inner
+    streams whose heads may be due -- for Bird-style multiples, at most
+    pi(sqrt(v)) + 1 of them -- as the linear fold does.
     """
-    # each level is one more suspended frame on the way out
-    ensure_recursion_room()
-    streams = iter(streams)
-    if counters is not None:
-        streams = (_pulled(s, counters) for s in streams)
-    return _merge(None, None, disjoint, streams, counters)
+    return _merge(None, None, disjoint, _Fold(streams, disjoint, counters), -1)
+
+
+class _Fold:
+    # what the nodes of one fold share: the inner streams not yet forced,
+    # and the head of the one forced last
+    __slots__ = ("levels", "last", "disjoint", "counters")
+
+    def __init__(self, streams, disjoint, counters):
+        streams = iter(streams)
+        if counters is not None:
+            streams = (_pulled(s, counters) for s in streams)
+        self.levels = streams
+        self.last = None
+        self.disjoint = disjoint
+        self.counters = counters
+
+    def grow(self, span):
+        """(head, rest) of a new subtree over `span` leaves, whose head is
+        None if the inner streams have run out. A leaf is the next
+        non-empty inner stream itself."""
+        if span == 1:
+            for xs in self.levels:
+                x = next(xs, None)
+                if x is not None:
+                    self.last = x
+                    return x, xs
+            return None, None
+        xs = _merge(None, None, self.disjoint, self, span)
+        if self.counters is not None:
+            xs = _pulled(xs, self.counters)
+        return next(xs, None), xs
 
 
 # ---------------------------------------------------------------------------

@@ -258,3 +258,29 @@ def test_stream_variants_survive_a_low_caller_recursion_limit():
     assert proc.returncode == 0, proc.stderr
     uncapped = [n for n, v in STREAM_VARIANTS.items() if v.cap is None]
     assert proc.stdout.split() == uncapped
+
+
+FOLD_VARIANTS = ["bs", "bs4", "naive-w", "w", "w4", "es", "es4"]
+
+
+def test_fold_variants_leave_the_recursion_limit_alone():
+    # the tree fold is about 2*log2(k) frames deep, so no fold raises it
+    script = textwrap.dedent("""
+        import sys
+        from primegen import oracle
+        from primegen.sieves import STREAM_VARIANTS
+        from primegen.streams import take
+        sys.setrecursionlimit(100)
+        expect = oracle.first_primes(20_000)
+        for name in %r:
+            assert take(STREAM_VARIANTS[name].factory(), 20_000) == expect, name
+            print(name)
+        assert sys.getrecursionlimit() == 100
+    """ % FOLD_VARIANTS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == FOLD_VARIANTS

@@ -197,6 +197,65 @@ def test_fold_union_p_productivity_bound(primes10k):
         assert counter.forced <= bound
 
 
+@st.composite
+def fold_inputs(draw, disjoint):
+    # up to 40 finite streams with strictly increasing heads, empty ones
+    # mixed in; the non-disjoint ones share values past their heads
+    k = draw(st.integers(0, 40))
+    owner = draw(st.dictionaries(st.integers(0, 600), st.integers(0, 39),
+                                 max_size=200))
+    parts = [sorted(v for v, i in owner.items() if i == j) for j in range(k)]
+    streams = sorted((p for p in parts if p), key=lambda p: p[0])
+    if not disjoint:
+        rng = draw(st.randoms())
+        streams = [sorted(set(p) | {v for v in owner if v > p[0]
+                                    and rng.random() < 0.2})
+                   for p in streams]
+    for _ in range(k - len(streams)):
+        streams.insert(draw(st.integers(0, len(streams))), [])
+    return streams
+
+
+@pytest.mark.parametrize("disjoint", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_union_p_on_finite_and_empty_streams(disjoint, data):
+    streams = data.draw(fold_inputs(disjoint))
+    plain = list(fold_union_p((iter(s) for s in streams), disjoint))
+    counted = list(fold_union_p((iter(s) for s in streams), disjoint,
+                                RunCounters()))
+    assert plain == sorted(set().union(*streams))
+    assert counted == plain
+
+
+def test_fold_union_p_merges_each_element_about_log_k_times():
+    # a linear fold would merge the k-th stream's element k times: about
+    # k/2 comparisons per output here
+    k = 2**10
+    counters = RunCounters()
+    out = list(fold_union_p((iter([i]) for i in range(k)), False, counters))
+    assert out == list(range(k))
+    assert counters.comparisons / k <= 4 * 10
+
+
+def test_fold_union_p_depth_fits_a_low_recursion_limit():
+    script = textwrap.dedent("""
+        import sys
+        from primegen.streams import fold_union_p
+        sys.setrecursionlimit(100)
+        out = list(fold_union_p(iter(range(i, 50_000, 5_000))
+                                for i in range(5_000)))
+        assert out == list(range(50_000))
+        assert sys.getrecursionlimit() == 100
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_monotone_outputs_at_scale():
     rng = random.Random(7)
     a = sorted(random.Random(1).sample(range(10**7), 10_000))
