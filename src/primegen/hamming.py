@@ -1,37 +1,46 @@
 """Generalized Hamming numbers, each generated exactly once.
 
-The driving identity: the composites of a prime set P (the products of
-two or more of its primes) split, for the least p in P, into p times P's
-closure (P and its composites) and the composites of P without p. Those
-two parts are disjoint, so merging them with `d_union` produces every
-element exactly once -- unlike the textbook three-way merge, which
-rebuilds a number once per ordered factorization.
+The driving identity: a composite of a prime set P (a product of two or
+more of its primes) is x times a member of the closure Cl(P>=x) of P's
+primes from x on, for x its least prime factor. So the composites C(P)
+are the disjoint union over x in P of the levels x*Cl(P>=x): x*x, then x
+times P's primes after x `d_union` the composites with least prime factor
+at least x. Each element is generated exactly once -- unlike the textbook
+three-way merge, which rebuilds a number once per ordered factorization.
 
-`composites_of_primes` is that recursion, the one the H sieve needs. The
-multiplicative closure of the generators, `hamming_stream`, is the
+`composites_of_primes`, the recursion the H sieve needs, ties C(P) as one
+`fix_stream` knot: a disjoint `fold_union_p` tree of the levels, so a
+composite whose least factor is P's k-th prime crosses about 2*log2(k)
+merge frames. Level x reads C back through a C-level filter, gcd(c, m) ==
+1 with m the product of P's primes below x, so composites carry no tag,
+and neither the filter nor the scaling adds a Python frame (`comparisons`
+does not count the filter's scans). A level opens only when its square
+comes due, and puts the square out before it reads C, so the knot is
+productive: once x*c is out, the next composite the level needs is at
+most x*c. Level x reads C from x*x up to v/x while the knot is at v. Its
+two readers, the filter's data and selector, are copies of the previous
+level's selector, which has read no further than the previous square; a
+reader kept from C's start would pin C and rescan it from its beginning.
+Copies are taken with `__copy__`, since `tee(t)` of a tee object hands t
+itself back as its first copy, and two levels would advance one iterator.
+
+The multiplicative closure of the generators, `hamming_stream`, is the
 generators `d_union` their composites: disjoint again, for primes.
-
-Each level, one per generator x, is a `fix_stream` knot: it reads its own
-output back, scaled by x, through a tee copy taken when the level starts.
-That copy trails the level's output v at v/x, so the level holds only
-(v/x, v]. Levels open only as the squares come due, so only the
-generators up to about the square root of the output have one. A level
-takes x from one iterator and reads the generators above x too, so it
-splits the iterator with `tee`, keeping one copy and handing the other
-to the next level.
 """
 
-from itertools import chain, islice, tee
+from itertools import chain, compress, islice, repeat, takewhile, tee
+from math import gcd
 
-from .streams import U64_MAX, births, d_union, fix_stream, scaled
+from .streams import (U64_MAX, StreamOverflow, births, d_union, fix_stream,
+                      fold_union_p)
 
 
 def hamming_stream(gens, counters=None):
     """Increasing multiplicative closure of `gens`, without 1.
 
     `gens` must be strictly increasing (primes for the exactly-once
-    guarantee); it may be unbounded -- the recursion over the tail is
-    only built on first demand.
+    guarantee); it may be unbounded -- a generator's level is only built
+    once its square comes due.
     """
     own, products = tee(gens)
     return d_union(births(own, counters),
@@ -45,28 +54,37 @@ def composites_of_primes(ps, counters=None, start=0):
     used. The primes may still be under construction, as in H, where `ps`
     is a reader of H's own knot: levels read only the primes up to v/2.
     """
-    return _composites_level(islice(ps, start, None), counters)
+    primes = islice(ps, start, None)
+    return fix_stream(
+        lambda c: fold_union_p(_levels(primes, c.reader(), counters), True,
+                               counters),
+        counters)
 
 
-def _composites_level(primes, counters):
-    def knot(h):
+def _levels(primes, selector, counters):
+    # level x for each x in P, reading C through copies of `selector`
+    below = 1  # the product of P's primes below x
+    while True:
         x = next(primes, None)
         if x is None:
-            return iter(())
+            return
         xx = x * x
         if xx > U64_MAX:
             raise OverflowError("%d**2 exceeds 64 bits" % x)
-        # the primes above x must rejoin x's own composites before scaling,
-        # since the recursive call strips them from its output
-        above, later = tee(primes)
-        grown = births(
-            scaled(x, d_union(above, h.reader(), counters)), counters)
-        rest = _composites_level(later, counters)
-        if counters is not None:
-            counters.born(xx)
-        return chain([xx], d_union(grown, rest, counters))
+        above, primes = tee(primes)
+        data, selector = selector.__copy__(), selector.__copy__()
+        coprime = map((1).__eq__, map(gcd, selector, repeat(below)))
+        rough = compress(data, coprime)
+        below *= x
+        grown = map(x.__mul__, d_union(above, rough, counters))
+        yield births(chain((xx,), takewhile(U64_MAX.__ge__, grown),
+                           _overflow(x)), counters)
 
-    return fix_stream(knot, counters)
+
+def _overflow(x):
+    # reached only once a level's next element has passed 2**64-1
+    raise StreamOverflow("%d times a composite exceeds 64 bits" % x)
+    yield
 
 
 def classic_hamming3(counters=None):

@@ -35,14 +35,18 @@ second, uncounted instance of the same sieve, which only has to reach the
 square root of the outer candidates (the "double primes feed",
 https://wiki.haskell.org/Prime_numbers): no prime memo is kept.
 
-Only H ties a sharing knot (`fix_stream`): its level for x reads the
-primes up to v/x, half the range when x = 2, so an inner instance would
-redo most of the outer one's work. H takes its one reader of the knot
-before its first prime goes out, past the mounted primes but the last,
-which keeps its composites inside the candidates; the Hamming levels split
-that reader with `tee` (see `hamming`).
+Only H ties sharing knots (`fix_stream`), two of them: its primes and its
+composites C. Its level for x reads the primes up to v/x, half the range
+when x = 2, so an inner instance would redo most of the outer one's work.
+H takes its one reader of the prime knot before its first prime goes out,
+past the mounted primes but the last, which keeps its composites inside
+the candidates; the Hamming levels split that reader with `tee`. C is one
+more knot, a tree fold of the levels, each reading C back through a gcd
+filter (see `hamming`), so H too leaves the recursion limit alone. Only
+`naive_euler`, which is capped, raises it.
 """
 
+import sys
 from dataclasses import dataclass
 from itertools import count, islice, tee
 
@@ -50,7 +54,6 @@ from .hamming import composites_of_primes
 from .streams import (
     StreamError,
     births,
-    ensure_recursion_room,
     fix_stream,
     fold_union_p,
     minus,
@@ -106,6 +109,21 @@ def turner_sieve(cap=DEFAULT_CAP, counters=None):
             yield n
 
 
+# headroom above `naive_euler`'s one frame per prime of its cap
+_RECURSION_ROOM = 2_000
+
+
+def ensure_recursion_room(limit):
+    """Raise the process recursion limit to `limit` if it is lower.
+
+    Only `naive_euler` calls this. It is exempt from leaving the limit
+    alone because it is capped, and its nesting is the point: it stacks
+    one `minus` filter per prime, so a pull crosses a frame per prime.
+    """
+    if sys.getrecursionlimit() < limit:
+        sys.setrecursionlimit(limit)
+
+
 def naive_euler(cap=DEFAULT_CAP, counters=None):
     """Nested stream complementations: survivors minus p times survivors.
 
@@ -114,7 +132,7 @@ def naive_euler(cap=DEFAULT_CAP, counters=None):
     stack frame per discovered prime on every pull, so very deep caps are
     bounded by the interpreter stack.
     """
-    ensure_recursion_room(cap + 2_000)
+    ensure_recursion_room(cap + _RECURSION_ROOM)
     cs = count(2)
     for _ in range(cap):
         a, b = tee(cs)

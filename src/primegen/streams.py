@@ -21,26 +21,16 @@ Conventions:
     output;
   * elements are unsigned 64-bit; growing past 2**64-1 raises
     `StreamOverflow` rather than wrapping.
+
+Nothing here touches interpreter-global state. A fold is about 2*log2(k)
+frames deep over k streams, and a knot's readers replay in C without a
+frame of their own, so no combinator raises the recursion limit.
 """
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import cycle, islice, tee
 
 U64_MAX = (1 << 64) - 1
-
-# a `fix_stream` knot (H's Hamming levels) nests a few suspended frames per
-# sieving round, so one pull can cross hundreds of them; this is headroom for
-# hundreds of rounds, well clear of the interpreter's C stack. `naive_euler`
-# asks for one frame per prime of its cap instead. The folds need none: a
-# tree fold is about 2*log2(k) frames deep.
-_RECURSION_ROOM = 6_000
-
-
-def ensure_recursion_room(limit=_RECURSION_ROOM):
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
 
 class StreamError(Exception):
     """Base class for stream-kernel failures."""
@@ -63,9 +53,9 @@ class RunCounters:
     elements pulled into a merge or difference loop (in a fold, once per
     tree node an element crosses: about 2*log2(k) for the k-th level);
     `pulls` counts primes delivered;
-    `buffered`/`peak_buffer` count the elements H's `fix_stream` knots
-    produce (its primes and Hamming levels) and the gaps entering the gap
-    lists of W's and WPQ's `WheelChain`, its base wheel's included. A
+    `buffered`/`peak_buffer` count the elements H's two `fix_stream`
+    knots produce (its primes and its composites) and the gaps entering
+    the gap lists of W's and WPQ's `WheelChain`, its base wheel's included. A
     knot frees what all its readers have passed, so the count is of
     produced elements, not of live ones; it never decreases. The fold
     sieves keep no prime memo, so theirs covers wheels only. `tally` and
@@ -512,12 +502,14 @@ def fix_stream(producer, counters=None):
     producer must take every reader it needs (`handle.reader(skip)`)
     before the first element is delivered; the handle then lets go of the
     stream's start, the tee frees each element once every reader has
-    passed it, and a later `reader()` raises `StreamError`. Producing
-    element n may consume only elements 0..n-1: a re-entrant demand raises
-    `NonProductiveStream`. With `counters`, each produced element counts
-    as buffered, whether or not it is still held.
+    passed it, and a later `reader()` raises `StreamError`; a reader
+    taken without `skip` is a tee object, whose `__copy__` starts where it
+    stands, at any time. Producing element n may consume only elements
+    0..n-1: a re-entrant demand raises `NonProductiveStream`. A pull
+    crosses only the producer's frames, so the knot leaves the recursion
+    limit alone. With `counters`, each produced element counts as
+    buffered, whether or not it is still held.
     """
-    ensure_recursion_room()
     handle = _Knot()
 
     def source():

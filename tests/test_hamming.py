@@ -1,8 +1,12 @@
-from itertools import islice
+from itertools import islice, takewhile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegen import oracle
 from primegen.hamming import classic_hamming3, composites_of_primes, hamming_stream
-from primegen.streams import RunCounters, take
+from primegen.streams import RunCounters, StreamOverflow, take
 
 
 def test_hamming_235_prefix():
@@ -106,3 +110,27 @@ def test_composites_generated_once_below_bound():
     tally = {v: c for v, c in counters.tally.items() if v <= bound}
     assert sorted(tally) == oracle.composites_up_to(bound)
     assert set(tally.values()) == {1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(oracle.first_primes(40)), min_size=1, max_size=8))
+def test_composites_of_any_prime_set_match_the_scan(gens):
+    # the sets skip primes, so a gcd filter whose modulus were the product
+    # of the first primes, not of P's own primes below x, would fail here
+    gens = sorted(gens)
+    bound = 20_000
+    counters = RunCounters.with_tally()
+    got = list(takewhile(bound.__ge__, composites_of_primes(iter(gens), counters)))
+    assert got == [v for v in oracle.smooth_up_to(gens, bound) if v not in gens]
+    assert all(counters.tally[v] == 1 for v in got)
+
+
+def test_composites_past_64_bits_raise_stream_overflow():
+    # 4294967291**2 fits in 64 bits, its cube does not
+    with pytest.raises(StreamOverflow):
+        take(composites_of_primes(iter([4294967291])), 3)
+
+
+def test_generator_with_square_past_64_bits_is_an_overflow_error():
+    with pytest.raises(OverflowError):
+        take(composites_of_primes(iter([2**32 + 15])), 1)

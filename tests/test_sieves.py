@@ -218,8 +218,8 @@ def test_wheel_chain_holds_each_wheel_once(variant):
 
 
 @pytest.mark.parametrize("factory, figures", [
-    (primes_h, (204828, 204828, 1452550, 838252)),
-    (primes_h4, (31460, 31460, 540495, 446297)),
+    (primes_h, (204828, 204828, 1179643, 224737)),
+    (primes_h4, (31460, 31460, 297348, 51373)),
 ])
 def test_hamming_sieve_counters_at_20000_primes(factory, figures):
     # composites, distinct composites, comparisons and peak_buffer do not
@@ -284,3 +284,27 @@ def test_fold_variants_leave_the_recursion_limit_alone():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == FOLD_VARIANTS
+
+
+def test_hamming_variants_leave_the_recursion_limit_alone():
+    # C is one knot, a tree fold of the Hamming levels, so no H level nests
+    # a frame per base prime
+    script = textwrap.dedent("""
+        import sys
+        from primegen import oracle
+        from primegen.sieves import STREAM_VARIANTS
+        from primegen.streams import take
+        sys.setrecursionlimit(100)
+        expect = oracle.first_primes(20_000)
+        for name in ("h", "h4"):
+            assert take(STREAM_VARIANTS[name].factory(), 20_000) == expect, name
+            print(name)
+        assert sys.getrecursionlimit() == 100
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["h", "h4"]
