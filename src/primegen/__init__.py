@@ -13,7 +13,7 @@ variants at desk scale.
 
 __version__ = "0.1.0"
 
-from .hamming import classic_hamming3, composites_of_primes, hamming_stream
+from .hamming import composites_of_primes, hamming_stream
 from .pq import CompositePQ, PQ_VARIANTS, epq_sieve, oneill_sieve, wpq_sieve
 from .sieves import (
     STREAM_VARIANTS,
@@ -40,7 +40,6 @@ from .streams import (
     U64_MAX,
     circ,
     d_union,
-    d_union_p,
     fix_stream,
     fold_union_p,
     minus,
@@ -50,7 +49,6 @@ from .streams import (
     spin,
     take,
     union,
-    union_p,
 )
 from .wheels import (
     Wheel,

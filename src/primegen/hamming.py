@@ -85,78 +85,3 @@ def _overflow(x):
     # reached only once a level's next element has passed 2**64-1
     raise StreamOverflow("%d times a composite exceeds 64 bits" % x)
     yield
-
-
-def classic_hamming3(counters=None):
-    """The textbook three-merge 5-smooth stream, including 1.
-
-    Kept as a comparator: the classic scheme rebuilds each value once per
-    ordered factorization (30 arrives six ways). Materializing those
-    duplicates is combinatorially hopeless for deep values, so the merge
-    carries a path count per value instead; the instrumented tally counts
-    every rebuild the scheme would perform.
-    """
-
-    def times(m, products):
-        for v, paths in products:
-            if counters is not None:
-                counters.born(m * v, paths)
-            yield m * v, paths
-
-    def knot(h):
-        # the three readers are taken now, before (1, 1) goes out
-        merged = _weighted_merge(
-            times(2, h.reader()),
-            _weighted_merge(times(3, h.reader()), times(5, h.reader())))
-        return chain([(1, 1)], merged)
-
-    for v, _ in fix_stream(knot, counters):
-        yield v
-
-
-def _weighted_merge(xs, ys):
-    # merge of (value, paths) streams; equal values pool their paths. Once
-    # one side ends the other is passed through.
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x, kx = nx()
-    except StopIteration:
-        yield from ys
-        return
-    try:
-        y, ky = ny()
-    except StopIteration:
-        yield x, kx
-        yield from xs
-        return
-    while True:
-        if x < y:
-            yield x, kx
-            try:
-                x, kx = nx()
-            except StopIteration:
-                yield y, ky
-                yield from ys
-                return
-        elif y < x:
-            yield y, ky
-            try:
-                y, ky = ny()
-            except StopIteration:
-                yield x, kx
-                yield from xs
-                return
-        else:
-            yield x, kx + ky
-            try:
-                x, kx = nx()
-            except StopIteration:
-                yield from ys
-                return
-            try:
-                y, ky = ny()
-            except StopIteration:
-                yield x, kx
-                yield from xs
-                return

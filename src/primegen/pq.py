@@ -25,18 +25,18 @@ Three flavours of entry, each run from p*p:
   oneill  values p*p, p*p + p, p*p + 2p, ... (with w4: p times the
           coprime survivors from p); composites with several prime
           factors are reached once per factor
-  epq     the erased-set streams of the survivor induction; disjoint, so
-          every composite enters the queue exactly once
+  epq     ES's levels (`sieves._erasing`): p times the survivors of the
+          earlier levels, which the later levels read with that set
+          removed; disjoint, so every composite enters the queue once
   wpq     the same sets as the rolling wheel's gaps scaled by p and
           summed from p*p; O(1) state per entry plus one wheel per base
           prime, grown lazily in the instance's `WheelChain`
 """
 
 import heapq
-from collections import deque
 from itertools import accumulate, count, cycle, islice
 
-from .sieves import Variant
+from .sieves import Variant, _erasing
 from .streams import scaled
 from .wheels import WheelChain, _w4_offsets, mount, wheel4
 
@@ -142,95 +142,15 @@ def oneill_sieve(w4=False, counters=None):
     return _postponed(w4, multiples, counters, lambda: oneill_sieve(w4))
 
 
-class _ErasedCascade:
-    """The survivor/erased plumbing of the queue-based Euler sieve.
-
-    Every base prime adds a round that (a) turns the values still
-    surviving the earlier rounds into the erased stream prime * survivors
-    and (b) removes exactly that stream from the values handed to later
-    rounds. Written with nested stream differences the demand chain gets
-    one frame deeper per round, so the same dataflow runs here as one flat
-    sweep: each value pulled from the base is multiplied into the feed of
-    every round it survives and dropped at the round whose erased head it
-    matches. The per-round feeds retain exactly the window the shared lazy
-    streams would, which is why this sieve's memory grows the way the
-    survivor induction's does.
-    """
-
-    __slots__ = ("_base", "_rounds", "_counters")
-
-    # round layout: [prime, filter head, filter feed, queue feed, survivors]
-
-    def __init__(self, base, counters):
-        self._base = base
-        self._rounds = []
-        self._counters = counters
-
-    def open_round(self, prime):
-        """Start erasing with `prime`; returns its erased values from prime**2.
-
-        The square seeds the round's own filter and its queue feed: the
-        prime heads its own round and is dropped from the flow before it
-        grows either. Rounds must open in increasing order of their primes.
-        """
-        square = prime * prime
-        self._rounds.append([prime, square, deque(), deque((square,)), deque()])
-        return self._erased(len(self._rounds) - 1)
-
-    def _erased(self, index):
-        feed = self._rounds[index][3]
-        while True:
-            while not feed:
-                self._advance(index)
-            yield feed.popleft()
-
-    def _advance(self, k):
-        """Feed one more survivor of the earlier rounds into round k."""
-        rounds = self._rounds
-        while True:
-            # deepest round with a buffered survivor; below that, the base
-            j = k - 1
-            while j >= 0 and not rounds[j][4]:
-                j -= 1
-            v = self._base.__next__() if j < 0 else rounds[j][4].popleft()
-            for idx in range(j + 1, k):
-                if not self._pass(idx, v):
-                    break
-            else:
-                break
-        if self._pass(k, v):
-            rounds[k][4].append(v)
-
-    def _pass(self, idx, v):
-        # run v through round idx: grow its erased feeds, drop v if erased
-        round_ = self._rounds[idx]
-        prime = round_[0]
-        if v == prime:
-            # the prime heads its own round and is dropped from the flow
-            return False
-        grown = prime * v
-        round_[2].append(grown)
-        round_[3].append(grown)
-        counters = self._counters
-        if counters is not None:
-            counters.comparisons += 1
-        if v == round_[1]:
-            round_[1] = round_[2].popleft()
-            return False
-        assert v < round_[1], "erased values overtook the survivors at %d" % v
-        return True
-
-
 def epq_sieve(w4=False, counters=None):
-    """Sieve ES on a priority queue.
+    """Sieve ES on a priority queue: entries are ES's levels.
 
-    Base prime p, heading the survivors of the previous rounds, gets key
-    p*p with the rest of the erased set p * survivors, and later rounds
-    get the survivors past p with that set removed. The cascade reads
-    its own copy of the candidates, from the last mounted prime on.
+    Base prime p's entry is the erased set p * survivors, from p*p on,
+    and the next base prime's entry reads the survivors past p with that
+    set removed: the same `sieves._erasing` induction the stream ES folds.
     """
-    cascade = _ErasedCascade(mount(w4)[2], counters)
-    return _postponed(w4, cascade.open_round, counters, lambda: epq_sieve(w4))
+    return _postponed(w4, _erasing(w4, counters), counters,
+                      lambda: epq_sieve(w4))
 
 
 def wpq_sieve(w4=False, counters=None):

@@ -44,6 +44,13 @@ the candidates; the Hamming levels split that reader with `tee`. C is one
 more knot, a tree fold of the levels, each reading C back through a gcd
 filter (see `hamming`), so H too leaves the recursion limit alone. Only
 `naive_euler`, which is capped, raises it.
+
+ES's levels, `_erasing`, serve both drivers: ES folds them, and EPQ
+(`pq.epq_sieve`) keys them on the queue, so the two share one survivor
+induction, `es_step`. Level p reads the survivors of the levels before it
+only up to v/p, behind the reader that feeds the next level, so a pull
+seldom crosses more than a few of the nested differences, and neither
+driver raises the recursion limit for them.
 """
 
 import sys
@@ -232,13 +239,16 @@ def es_step(p, survivors, counters=None):
 
     Consuming prime p_k with `survivors` generating the previous round's
     leftovers from p_k on, returns (p_k times the survivors, the leftovers
-    past p_k with that erased set removed).
+    past p_k with that erased set removed). One three-reader `tee` of the
+    survivors feeds both: the filter scales its own copy again rather than
+    share the erased stream, so the tee holds only survivor ints that
+    already exist, over one window, where a tee of the products would
+    hold fresh product ints as well.
     """
-    src, nxt = tee(survivors)
-    erased_out, erased_filter = tee(scaled(p, src))
+    src, fil, nxt = tee(survivors, 3)
     if next(nxt, None) is None:
         raise StreamError("cannot erase from an empty survivor stream")
-    return erased_out, s_minus(nxt, erased_filter, counters)
+    return scaled(p, src), s_minus(nxt, scaled(p, fil), counters)
 
 
 def primes_h(counters=None):

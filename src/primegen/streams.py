@@ -256,21 +256,6 @@ def _merge(xs, ys, disjoint, fold=None, span=0):
                 return
 
 
-def union_p(xs, ys, counters=None):
-    """`union` that emits the head of xs before ever inspecting ys.
-
-    The caller guarantees head(xs) < head(ys); this is what keeps a right
-    fold over infinitely many streams productive. An empty xs passes ys
-    through. It is the fold of the two streams.
-    """
-    return fold_union_p((iter(xs), iter(ys)), False, counters)
-
-
-def d_union_p(xs, ys, counters=None):
-    """`d_union` variant of `union_p`."""
-    return fold_union_p((iter(xs), iter(ys)), True, counters)
-
-
 def minus(xs, ys, counters=None):
     """Ordered set difference xs \\ ys of strictly increasing streams."""
     return _diff(*_inputs(xs, ys, counters), False)
@@ -360,7 +345,7 @@ def spin(deltas, start):
 
 
 def fold_union_p(streams, disjoint=False, counters=None):
-    """Fold of `union_p` (or `d_union_p`) over a stream of streams.
+    """Head-first `union` (or `d_union`) of a stream of streams.
 
     The inner streams must be strictly increasing with strictly increasing
     heads; empty ones are skipped. The fold is a skewed tree of `_merge`

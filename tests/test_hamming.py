@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegen import oracle
-from primegen.hamming import classic_hamming3, composites_of_primes, hamming_stream
+from primegen.hamming import composites_of_primes, hamming_stream
 from primegen.streams import RunCounters, StreamOverflow, take
 
 
@@ -55,29 +55,6 @@ def test_hamming_over_many_generators_opens_few_levels():
     # only the generators up to its square root open a level
     primes = oracle.first_primes(3000)
     assert take(hamming_stream(iter(primes)), 27448) == list(range(2, 27450))
-
-
-def test_classic_hamming_prefix():
-    assert take(classic_hamming3(), 5) == [1, 2, 3, 4, 5]
-
-
-def test_classic_agrees_with_new_solution():
-    classic = take(classic_hamming3(), 10_000)
-    fresh = [1] + take(hamming_stream([2, 3, 5]), 9_999)
-    assert classic == fresh
-
-
-def test_classic_rebuilds_thirty_six_times():
-    counters = RunCounters.with_tally()
-    for v in classic_hamming3(counters):
-        if v > 30:
-            break
-    assert counters.tally[30] == 6
-    fresh = RunCounters.with_tally()
-    for v in hamming_stream([2, 3, 5], fresh):
-        if v > 30:
-            break
-    assert fresh.tally[30] == 1
 
 
 def test_composites_of_primes_complement(composites100k):

@@ -180,7 +180,7 @@ def test_oneill_queue_state_grows_slowly(name):
     assert large <= 2.5 * small
 
 
-@pytest.mark.parametrize("name", ["wpq", "wpq4", "epq4"])
+@pytest.mark.parametrize("name", ["wpq", "wpq4", "epq", "epq4"])
 def test_euler_queue_state_stays_small(name):
     assert _traced_peak(PQ_VARIANTS[name], 2**14) < 4 * 2**20
 

@@ -207,6 +207,12 @@ def test_wheel_sieve_state_stays_small(name):
     assert _traced_peak(STREAM_VARIANTS[name], 2**14) < 0.7 * 2**20
 
 
+@pytest.mark.parametrize("name, mib", [("es", 4.5), ("es4", 1)])
+def test_survivor_induction_tees_the_survivors_once(name, mib):
+    # one window of survivors per level, no window of erased products
+    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < mib * 2**20
+
+
 @pytest.mark.parametrize("variant", [
     STREAM_VARIANTS["w"], STREAM_VARIANTS["w4"],
     PQ_VARIANTS["wpq"], PQ_VARIANTS["wpq4"],
@@ -237,7 +243,7 @@ def test_hamming_sieve_frees_what_every_reader_passed(name, mib):
 
 
 def test_stream_variants_survive_a_low_caller_recursion_limit():
-    # the sieves raise the limit themselves when they build deep folds
+    # no uncapped sieve raises the limit, not even for its deepest folds
     script = textwrap.dedent("""
         import sys
         from primegen import oracle

@@ -20,7 +20,6 @@ from primegen.streams import (
     U64_MAX,
     circ,
     d_union,
-    d_union_p,
     fix_stream,
     fold_union_p,
     minus,
@@ -30,7 +29,6 @@ from primegen.streams import (
     spin,
     take,
     union,
-    union_p,
 )
 
 sorted_sets = st.sets(st.integers(min_value=0, max_value=400), max_size=60).map(sorted)
@@ -119,18 +117,22 @@ class _Poison:
 
 
 def test_union_p_emits_head_before_touching_right():
-    stream = union_p(iter([4, 6, 8]), _Poison())
-    assert next(stream) == 4
+    for disjoint in (False, True):
+        stream = fold_union_p((iter([4, 6, 8]), _Poison()), disjoint)
+        assert next(stream) == 4
 
 
 def test_d_union_p_single_then_rest():
-    assert list(d_union_p(iter([3]), iter([5, 7]))) == [3, 5, 7]
+    for disjoint in (False, True):
+        stream = fold_union_p((iter([3]), iter([5, 7])), disjoint)
+        assert list(stream) == [3, 5, 7]
 
 
-@pytest.mark.parametrize("merge", [union_p, d_union_p])
+# the ids name the head-first unions of two streams, plain and disjoint
+@pytest.mark.parametrize("disjoint", [False, True], ids=["union_p", "d_union_p"])
 @pytest.mark.parametrize("ys", [[], [1], [1, 3]])
-def test_head_first_union_of_empty_passes_right_through(merge, ys):
-    assert list(merge([], iter(ys))) == ys
+def test_head_first_union_of_empty_passes_right_through(disjoint, ys):
+    assert list(fold_union_p((iter([]), iter(ys)), disjoint)) == ys
 
 
 def test_circ_examples():
