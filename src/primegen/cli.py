@@ -515,9 +515,6 @@ def build_parser():
     p_bench.add_argument("--paper-format", action="store_true",
                          help="print cells as minute'second^tenth")
     p_bench.set_defaults(fn=cmd_bench)
-
-    for p in (p_nth, p_list, p_count, p_stats, p_verify):
-        p.set_defaults(format="csv")
     return parser
 
 

@@ -1,5 +1,5 @@
-"""Priority-queue sieves: the faithful incremental Eratosthenes and the
-two Euler-style variants that replace its multiples generators.
+"""Priority-queue sieves: the faithful incremental Eratosthenes, and EPQ
+and WPQ, which key Euler levels instead of its multiples.
 
 All three run on one postponed driver (O'Neill, "The Genuine Sieve of
 Eratosthenes", JFP 2009, with Will Ness's postponement). The queue maps
@@ -15,30 +15,23 @@ the square root of the first; it in turn feeds from a third, and so on.
 Primes above the square root of the candidates leave no state behind, so
 the queue holds about pi(sqrt(n)) entries while sieving to n, and the
 queue state is O(pi(sqrt(n))), apart from WPQ's wheels and EPQ's
-survivor windows. All three flavours count a prime's first key p*p in
-`RunCounters` when the candidates reach p*p; the inner instances count
-nothing. The driver is mounted like the fold sieves (`wheels.mount`) and
-takes the same contract: `multiples(p)` returns p's composites from p*p
-on, and the driver drops that head, which is the entry's first key.
+survivor windows. Every entry counts its first key p*p in `RunCounters`
+when the candidates reach p*p; the inner instances count nothing.
 
-Three flavours of entry, each run from p*p:
-  oneill  values p*p, p*p + p, p*p + 2p, ... (with w4: p times the
-          coprime survivors from p); composites with several prime
-          factors are reached once per factor
-  epq     ES's levels (`sieves._erasing`): p times the survivors of the
-          earlier levels, which the later levels read with that set
-          removed; disjoint, so every composite enters the queue once
-  wpq     the same sets as the rolling wheel's gaps scaled by p and
-          summed from p*p; O(1) state per entry plus one wheel per base
-          prime, grown lazily in the instance's `WheelChain`
+The driver is mounted like the fold sieves (`wheels.mount`) and keys
+their levels (`sieves`): `multiples(p)` returns p's composites from p*p
+on, and the driver drops that head, the entry's first key. O'N keys
+Bird's `_multiples`, which reach a composite once per prime factor; WPQ
+keys W's `_rolling` and EPQ ES's `_erasing`, which are disjoint, so every
+composite enters the queue once. What the loop emits is `bounded`.
 """
 
 import heapq
-from itertools import accumulate, count, cycle, islice
+from itertools import chain
 
-from .sieves import Variant, _erasing
-from .streams import scaled
-from .wheels import WheelChain, _w4_offsets, mount, wheel4
+from .sieves import Variant, _erasing, _feed, _multiples, _rolling
+from .streams import bounded
+from .wheels import mount
 
 
 class CompositePQ:
@@ -88,19 +81,20 @@ class CompositePQ:
 
 
 def _postponed(w4, multiples, counters, sieve):
-    """The candidate loop shared by every queue sieve.
+    """The mounted candidates that no entry keys, shared by every queue
+    sieve: `multiples(p)` is called in increasing order of p, from the
+    last mounted prime on, and `sieve()` makes the uncounted instance that
+    feeds the later ones."""
+    mounted, _, cand = mount(w4)
+    feed = _feed(sieve, len(mounted))
+    return chain(mounted, bounded(_queued(cand, feed, multiples, counters)))
 
-    `multiples(p)` returns base prime p's composites from p*p on; it is
-    called in increasing order of p, from the last mounted prime on.
-    `sieve()` makes the uncounted instance that feeds the later ones.
-    """
+
+def _queued(cand, feed, multiples, counters):
     pq = CompositePQ(counters)
     insert, cross_off = pq.insert, pq.cross_off
-    mounted, _, cand = mount(w4)
-    yield from mounted
     p = next(cand)  # the last mounted prime, already out
     q = p * p
-    feed = None
     for c in cand:
         if c < q:
             if not cross_off(c):
@@ -110,62 +104,28 @@ def _postponed(w4, multiples, counters, sieve):
         next(keys)  # p*p, the entry's first key
         insert(p, keys)
         cross_off(c)
-        if feed is None:
-            # the inner instance repeats the primes up to p first
-            feed = islice(sieve(), len(mounted), None)
         p = next(feed)  # an instance of an endless sieve
         q = p * p
 
 
 def oneill_sieve(w4=False, counters=None):
-    """The faithful incremental Sieve of Eratosthenes.
-
-    Base prime p's entry holds the multiples of p from p*p: steps of p, or
-    p times the wheel survivors from p when mounted on w_4.
-    """
-    if w4:
-        offsets = _w4_offsets()
-        deltas = wheel4().deltas
-        sizes = set(deltas)
-
-        def multiples(p):
-            # resume the wheel at p's phase; one int per scaled gap size
-            i = offsets[p % 210]
-            step = {d: p * d for d in sizes}
-            gaps = [step[d] for d in deltas[i:] + deltas[:i]]
-            return accumulate(cycle(gaps), initial=p * p)
-    else:
-
-        def multiples(p):
-            return count(p * p, p)
-
-    return _postponed(w4, multiples, counters, lambda: oneill_sieve(w4))
+    """The faithful incremental Sieve of Eratosthenes: entries are Bird's
+    levels (`sieves._multiples`), the multiples of p from p*p."""
+    return _postponed(w4, _multiples(w4), counters, lambda: oneill_sieve(w4))
 
 
 def epq_sieve(w4=False, counters=None):
-    """Sieve ES on a priority queue: entries are ES's levels.
-
-    Base prime p's entry is the erased set p * survivors, from p*p on,
-    and the next base prime's entry reads the survivors past p with that
-    set removed: the same `sieves._erasing` induction the stream ES folds.
-    """
+    """Sieve ES on a priority queue: entries are ES's levels, the erased
+    sets of the survivor induction the stream ES folds (`sieves._erasing`)."""
     return _postponed(w4, _erasing(w4, counters), counters,
                       lambda: epq_sieve(w4))
 
 
 def wpq_sieve(w4=False, counters=None):
-    """Sieve W on a priority queue: entries sum the rolling wheel's gaps.
-
-    Base prime p's keys are p*p plus the running sums of the current
-    wheel's gaps scaled by p; the next base prime gets the wheel after
-    it, this one rolled past p.
-    """
-    wheels = WheelChain(mount(w4)[1], counters)
-
-    def multiples(p):
-        return accumulate(scaled(p, wheels.turn(p)), initial=p * p)
-
-    return _postponed(w4, multiples, counters, lambda: wpq_sieve(w4))
+    """Sieve W on a priority queue: entries are W's levels, the rolling
+    wheel's gaps scaled by p and summed from p*p (`sieves._rolling`)."""
+    return _postponed(w4, _rolling(w4, counters), counters,
+                      lambda: wpq_sieve(w4))
 
 
 PQ_VARIANTS = {

@@ -45,30 +45,32 @@ more knot, a tree fold of the levels, each reading C back through a gcd
 filter (see `hamming`), so H too leaves the recursion limit alone. Only
 `naive_euler`, which is capped, raises it.
 
-ES's levels, `_erasing`, serve both drivers: ES folds them, and EPQ
-(`pq.epq_sieve`) keys them on the queue, so the two share one survivor
-induction, `es_step`. Level p reads the survivors of the levels before it
-only up to v/p, behind the reader that feeds the next level, so a pull
-seldom crosses more than a few of the nested differences, and neither
-driver raises the recursion limit for them.
+Each family defines its level once, for its fold and its queue form
+(`pq`): Bird's and O'Neill's `_multiples`, W's and WPQ's `_rolling`, and
+ES's and EPQ's `_erasing`, one survivor induction (`es_step`). Level p of
+`_erasing` reads the earlier levels' survivors only up to v/p, behind the
+reader that feeds the next level, so a pull seldom crosses more than a
+few of the nested differences, and neither driver raises the recursion
+limit for them. `_folded` and `pq._postponed` bound what they emit
+(`bounded`), not the levels.
 """
 
 import sys
 from dataclasses import dataclass
-from itertools import count, islice, tee
+from itertools import accumulate, chain, count, cycle, islice, tee
 
 from .hamming import composites_of_primes
 from .streams import (
     StreamError,
     births,
+    bounded,
     fix_stream,
     fold_union_p,
     minus,
     s_minus,
     scaled,
-    spin,
 )
-from .wheels import WheelChain, coprime_gaps, mount, s4_from
+from .wheels import WheelChain, coprime_gaps, mount, s4_gaps, wheel4
 
 DEFAULT_CAP = 10_000
 
@@ -154,25 +156,42 @@ def _folded(w4, level, disjoint, counters, sieve):
     """The mounted candidates minus the union of `level(p)` over the base
     primes p from the last mounted one, fed by the uncounted `sieve()`."""
     mounted, _, cand = mount(w4)
-    yield from mounted
-    next(cand)  # the last mounted prime, already out
+    next(cand)  # the last mounted prime, put out with the mounted ones
     levels = (births(level(p), counters)
-              for p in islice(sieve(), len(mounted) - 1, None))
-    yield from s_minus(cand, fold_union_p(levels, disjoint, counters), counters)
+              for p in _feed(sieve, len(mounted) - 1))
+    sifted = s_minus(cand, fold_union_p(levels, disjoint, counters), counters)
+    return chain(mounted, bounded(sifted))
+
+
+def _feed(sieve, start):
+    # the base primes from index `start` of an instance made on the first pull
+    yield from islice(sieve(), start, None)
 
 
 def bird_sieve(counters=None):
     """Candidates minus the union of every prime's multiples stream."""
-    return _folded(False, lambda p: scaled(p, count(p)), False, counters,
-                   bird_sieve)
+    return _folded(False, _multiples(False), False, counters, bird_sieve)
 
 
 def bird_sieve_w4(counters=None):
     """Bird's sieve on the 210-wheel: multiples of p start at p*p and step
     through the coprime survivors, so the first four Euler rounds come for
     free and composites with a factor below 11 are never formed."""
-    return _folded(True, lambda p: scaled(p, s4_from(p)), False, counters,
-                   bird_sieve_w4)
+    return _folded(True, _multiples(True), False, counters, bird_sieve_w4)
+
+
+def _multiples(w4):
+    # Bird's and O'Neill's level: p's multiples from p*p, on the wheel p
+    # times the survivors from p, summed in C over one int per gap size
+    if not w4:
+        return lambda p: count(p * p, p)
+    sizes = set(wheel4().deltas)
+
+    def level(p):
+        step = {d: p * d for d in sizes}
+        return accumulate(cycle([step[d] for d in s4_gaps(p)]), initial=p * p)
+
+    return level
 
 
 def naive_wheel_euler(counters=None):
@@ -188,7 +207,7 @@ def naive_wheel_euler(counters=None):
         # coprime_gaps reads its prefix lazily: hand it this level's copy
         gaps = coprime_gaps(tuple(prefix), p)
         prefix.append(p)
-        return scaled(p, spin(gaps, p))
+        return accumulate(map(p.__mul__, gaps), initial=p * p)
 
     return _folded(False, level, True, counters, naive_wheel_euler)
 
@@ -206,9 +225,10 @@ def wheel_euler_w4(counters=None):
 
 
 def _rolling(w4, counters):
-    # W's level: p times the current wheel rolled from p
+    # W's level: p*p plus the running sums of the current wheel's gaps,
+    # scaled by p
     wheels = WheelChain(mount(w4)[1], counters)
-    return lambda p: scaled(p, spin(wheels.turn(p), p))
+    return lambda p: accumulate(map(p.__mul__, wheels.turn(p)), initial=p * p)
 
 
 def es_euler(counters=None):

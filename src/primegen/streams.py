@@ -20,7 +20,9 @@ Conventions:
     preconditions, and under -O a violation gives the `union`/`minus`
     output;
   * elements are unsigned 64-bit; growing past 2**64-1 raises
-    `StreamOverflow` rather than wrapping.
+    `StreamOverflow` rather than wrapping. The fold and queue sieves check
+    it on the primes they emit (`bounded`), H on its levels, and `scaled`
+    and `spin` on their own elements.
 
 Nothing here touches interpreter-global state. A fold is about 2*log2(k)
 frames deep over k streams, and a knot's readers replay in C without a
@@ -28,7 +30,7 @@ frame of their own, so no combinator raises the recursion limit.
 """
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import cycle, islice, tee
+from itertools import chain, cycle, islice, takewhile, tee
 
 U64_MAX = (1 << 64) - 1
 
@@ -122,6 +124,25 @@ def scaled(factor, source):
         if v > limit:
             raise StreamOverflow("%d * %d exceeds 64 bits" % (factor, v))
         yield factor * v
+
+
+def bounded(source):
+    """`source` while its elements fit in 64 bits: one past U64_MAX raises
+    `StreamOverflow` instead, and the stream ends with the source. The test
+    is one C-level `takewhile` call per element, with no Python frame."""
+    ended = []
+    fits = takewhile(U64_MAX.__ge__, chain(source, _stop(ended, True)))
+    return chain(fits, _stop(ended, False))
+
+
+def _stop(ended, at_end):
+    # mark the source's end; after `takewhile`, no mark means past U64_MAX
+    if at_end:
+        ended.append(True)
+    elif not ended:
+        raise StreamOverflow("a stream element exceeds 64 bits")
+    return
+    yield
 
 
 def births(source, counters):

@@ -19,9 +19,9 @@ on the precomputed 210-wheel w_4 with the candidates s_4.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, repeat
 
-from .streams import StreamError, StreamOverflow, U64_MAX, circ, spin
+from .streams import StreamError, StreamOverflow, U64_MAX
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def wheel4():
 
 
 def s4_stream():
-    """s_4 = spin(circ(w_4), 11): all numbers >= 11 coprime to 2*3*5*7."""
-    return spin(circ(wheel4()), 11)
+    """s_4: all numbers >= 11 coprime to 2*3*5*7, w_4 rolled from 11."""
+    return accumulate(cycle(wheel4().deltas), initial=11)
 
 
 def precomputed_w4():
@@ -203,26 +203,24 @@ def mount(w4):
 @lru_cache(maxsize=1)
 def _w4_offsets():
     # residue mod 210 -> index of the gap that leaves that position
-    offsets = {}
-    pos = 11
-    for i, d in enumerate(wheel4().deltas):
-        offsets[pos % 210] = i
-        pos += d
-    return offsets
+    positions = accumulate(wheel4().deltas[:-1], initial=11)
+    return {pos % 210: i for i, pos in enumerate(positions)}
 
 
-def s4_from(value):
-    """The suffix of the coprime-to-210 numbers starting at `value`.
-
-    `value` must itself be coprime to 210; the wheel is resumed at the
-    matching phase instead of being respun from 11.
-    """
+def s4_gaps(value):
+    """One turn of w_4's gaps from `value`, which must be coprime to 210."""
     try:
         i = _w4_offsets()[value % 210]
     except KeyError:
         raise ValueError("%d shares a factor with 210" % value) from None
     deltas = wheel4().deltas
-    return spin(islice(cycle(deltas), i, None), value)
+    return deltas[i:] + deltas[:i]
+
+
+def s4_from(value):
+    """The coprime-to-210 numbers from `value`, which must be one of them:
+    w_4 resumed at its phase, not respun from 11."""
+    return accumulate(cycle(s4_gaps(value)), initial=value)
 
 
 def coprime_gaps(primes_prefix, start):

@@ -116,8 +116,8 @@ def test_verify_pq_variant_gets_queue_check(capsys):
 
 
 def test_verify_queue_variants_without_asserts():
-    # under -O the cascade's precondition assert is gone; the checks must
-    # still pass on the code that remains
+    # under -O the subset assert of `s_minus` that EPQ's levels run through
+    # is gone; the checks must still pass on the code that remains
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -5,7 +5,7 @@ import textwrap
 import tracemalloc
 from collections import Counter, deque
 from itertools import count, islice
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from primegen import oracle
 from primegen.pq import CompositePQ, PQ_VARIANTS, epq_sieve, oneill_sieve, wpq_sieve
-from primegen.sieves import es_euler, wheel_euler_w4
+from primegen.sieves import STREAM_VARIANTS, es_euler, wheel_euler_w4
 from primegen.streams import RunCounters, take
 
 
@@ -101,6 +101,28 @@ def test_euler_pq_keys_enter_once(sieve):
     tally = {v: c for v, c in counters.tally.items() if v <= bound}
     assert sorted(tally) == oracle.composites_up_to(bound)
     assert set(tally.values()) == {1}
+
+
+@pytest.mark.parametrize("fold,queue", [
+    ("bs", "on"), ("bs4", "on4"), ("w", "wpq"), ("w4", "wpq4"),
+    ("es", "epq"), ("es4", "epq4"),
+])
+def test_fold_and_queue_forms_generate_the_same_composites(fold, queue):
+    # one level per family: its fold and its queue form generate the same
+    # composites, as often each
+    bound = 20_000
+    tallies = []
+    for variant in (STREAM_VARIANTS[fold], PQ_VARIANTS[queue]):
+        counters = RunCounters.with_tally()
+        for p in variant.factory(counters=counters):
+            if p > bound:
+                break
+        tallies.append(Counter({v: c for v, c in counters.tally.items()
+                                if v <= bound}))
+    assert tallies[0] == tallies[1]
+    wheel = PQ_VARIANTS[queue].wheel
+    assert sorted(tallies[0]) == [c for c in oracle.composites_up_to(bound)
+                                  if not wheel or gcd(c, 210) == 1]
 
 
 def test_epq_first_key_and_continuation():

@@ -18,6 +18,7 @@ from primegen.streams import (
     StreamFixpoint,
     StreamOverflow,
     U64_MAX,
+    bounded,
     circ,
     d_union,
     fix_stream,
@@ -156,6 +157,20 @@ def test_spin_overflow_is_an_error():
 def test_scaled_overflow_is_an_error():
     with pytest.raises(StreamOverflow):
         list(scaled(3, iter([1, U64_MAX // 2])))
+
+
+def test_bounded_raises_past_64_bits():
+    stream = bounded(count(U64_MAX - 1))
+    assert take(stream, 2) == [U64_MAX - 1, U64_MAX]
+    with pytest.raises(StreamOverflow):
+        next(stream)
+    with pytest.raises(StreamOverflow):
+        list(bounded(iter([U64_MAX, U64_MAX + 1])))
+
+
+def test_bounded_ends_with_its_source():
+    assert list(bounded(iter([]))) == []
+    assert list(bounded(iter([1, U64_MAX]))) == [1, U64_MAX]
 
 
 def test_fold_union_p_three_streams():
