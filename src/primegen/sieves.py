@@ -51,7 +51,9 @@ ES's and EPQ's `_erasing`, one survivor induction (`es_step`). Level p of
 `_erasing` reads the earlier levels' survivors only up to v/p, behind the
 reader that feeds the next level, so a pull seldom crosses more than a
 few of the nested differences, and neither driver raises the recursion
-limit for them. `_folded` and `pq._postponed` bound what they emit
+limit for them. Each level tees the survivors it reads, apart from the
+first: its three readers mount the candidates afresh, so it holds no
+window of them. `_folded` and `pq._postponed` bound what they emit
 (`bounded`), not the levels.
 """
 
@@ -73,6 +75,9 @@ from .streams import (
 from .wheels import WheelChain, coprime_gaps, mount, s4_gaps, wheel4
 
 DEFAULT_CAP = 10_000
+# `naive_euler` nests two frames per prime, each entered from C: at 3,000
+# primes they take about 2 MiB of the C stack (CPython 3.11)
+NAIVE_EULER_CAP = 3_000
 
 
 class VariantCapExceeded(StreamError):
@@ -118,7 +123,7 @@ def turner_sieve(cap=DEFAULT_CAP, counters=None):
             yield n
 
 
-# headroom above `naive_euler`'s one frame per prime of its cap
+# headroom above `naive_euler`'s two frames per prime of its cap
 _RECURSION_ROOM = 2_000
 
 
@@ -127,21 +132,21 @@ def ensure_recursion_room(limit):
 
     Only `naive_euler` calls this. It is exempt from leaving the limit
     alone because it is capped, and its nesting is the point: it stacks
-    one `minus` filter per prime, so a pull crosses a frame per prime.
+    one `minus` filter per prime, so a pull crosses two frames per prime.
     """
     if sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
 
 
-def naive_euler(cap=DEFAULT_CAP, counters=None):
+def naive_euler(cap=NAIVE_EULER_CAP, counters=None):
     """Nested stream complementations: survivors minus p times survivors.
 
     Each round stacks another `minus` filter, so both time and retained
-    memory blow up; capped like `turner_sieve`. The filter chain costs a
-    stack frame per discovered prime on every pull, so very deep caps are
-    bounded by the interpreter stack.
+    memory blow up; capped like `turner_sieve`. The filter chain costs two
+    stack frames per discovered prime on every pull, a `minus` and the
+    `scaled` below it, so very deep caps are bounded by the C stack.
     """
-    ensure_recursion_room(cap + _RECURSION_ROOM)
+    ensure_recursion_room(2 * cap + _RECURSION_ROOM)
     cs = count(2)
     for _ in range(cap):
         a, b = tee(cs)
@@ -243,8 +248,14 @@ def es_euler_w4(counters=None):
 
 
 def _erasing(w4, counters):
-    # ES's level: p times the survivors of the levels before it
-    survivors = mount(w4)[2]
+    """ES's level: p times the survivors of the levels before it.
+
+    The first level's survivors are the candidates themselves, which
+    `_Remounted` mounts afresh for each of its readers, so that level holds
+    no `tee` window. One would hold every candidate between the filter's
+    reader, near v/6 on the bare form, and the erased set's, near v/2.
+    """
+    survivors = _Remounted(w4)
 
     def level(p):
         nonlocal survivors
@@ -254,18 +265,35 @@ def _erasing(w4, counters):
     return level
 
 
+class _Remounted:
+    # the mounted candidates, re-iterable: each `iter()` mounts them afresh
+    __slots__ = ("w4",)
+
+    def __init__(self, w4):
+        self.w4 = w4
+
+    def __iter__(self):
+        return mount(self.w4)[2]
+
+
 def es_step(p, survivors, counters=None):
     """One induction level: the erased set and the next survivor stream.
 
     Consuming prime p_k with `survivors` generating the previous round's
     leftovers from p_k on, returns (p_k times the survivors, the leftovers
-    past p_k with that erased set removed). One three-reader `tee` of the
-    survivors feeds both: the filter scales its own copy again rather than
-    share the erased stream, so the tee holds only survivor ints that
-    already exist, over one window, where a tee of the products would
-    hold fresh product ints as well.
+    past p_k with that erased set removed). Three readers of the survivors
+    feed both: the filter scales its own copy again rather than share the
+    erased stream. From an iterator they are one three-reader `tee`, which
+    holds only survivor ints that already exist, over one window, where a
+    tee of the products would hold fresh product ints as well. From a
+    re-iterable, such as the candidates of ES's first level, each reader is
+    its own `iter()`, and nothing is held.
     """
-    src, fil, nxt = tee(survivors, 3)
+    src = iter(survivors)
+    if src is survivors:
+        src, fil, nxt = tee(survivors, 3)
+    else:
+        fil, nxt = iter(survivors), iter(survivors)
     if next(nxt, None) is None:
         raise StreamError("cannot erase from an empty survivor stream")
     return scaled(p, src), s_minus(nxt, scaled(p, fil), counters)
@@ -316,7 +344,8 @@ STREAM_VARIANTS = {
     for v in (
         Variant("td", "TD", "stream", 0, trial_division),
         Variant("turner", "TURNER", "stream", 0, turner_sieve, DEFAULT_CAP),
-        Variant("naive-euler", "NAIVE_EULER", "stream", 0, naive_euler, DEFAULT_CAP),
+        Variant("naive-euler", "NAIVE_EULER", "stream", 0, naive_euler,
+                NAIVE_EULER_CAP),
         Variant("bs", "BS", "stream", 0, bird_sieve),
         Variant("bs4", "BS4", "stream", 4, bird_sieve_w4),
         Variant("h", "H", "stream", 0, primes_h),

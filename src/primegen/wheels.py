@@ -11,15 +11,20 @@ gaps that land on multiples of p.
 Eager `next_wheel` and a sieve instance's lazy `WheelChain` run the same
 merge step. Eager `Wheel` values are for small k (the circumference is the
 primorial and the length its totient, both of which explode); a chain
-computes only the prefix of each wheel that is read.
+computes only the prefix of each wheel that is read, and holds it in an
+`array('H')`, two bytes a gap. A gap of w_k read below 2^64 is at most the
+largest gap between primes there, 1,550: the wheel steps between the
+numbers with no prime factor up to p_k, and from p_{k+1} on, where it is
+read, every prime is one of them.
 
 `mount(w4)` is the one place a sieve learns how it is mounted: bare, or
 on the precomputed 210-wheel w_4 with the candidates s_4.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, count, cycle, repeat
+from itertools import accumulate, count, cycle
 
 from .streams import StreamError, StreamOverflow, U64_MAX
 
@@ -97,15 +102,20 @@ class WheelChain:
     next wheel: the last one rolled past the prime before p. Opening
     computes nothing; a wheel's gap list grows as it is read, by one flat
     loop over the merge steps (`_grow`), so a read crosses no frame per
-    earlier wheel. With `counters`, every gap entering a list, the base
-    wheel's included, counts as buffered.
+    earlier wheel. Each list is an `array('H')`: no gap of a sieve's wheels
+    comes near 2^16 (see the module docstring), and a hand-built chain whose
+    gap does raises `StreamOverflow`. Once its list is whole, a wheel rolls
+    on in `cycle`, which copies it at eight bytes a gap; only whole wheels
+    are copied, and they are small beside the growing ones. A turn of a
+    one-gap wheel then makes no iterator. With `counters`, every gap
+    entering a list, the base wheel's included, counts as buffered.
     """
 
     __slots__ = ("_gaps", "_steps", "_length", "_prime", "_counters")
 
     def __init__(self, base, counters=None):
         base = tuple(base)
-        self._gaps = [[]]
+        self._gaps = [array("H")]
         self._steps = [iter(base)]
         self._length = len(base)
         self._prime = None
@@ -116,7 +126,7 @@ class WheelChain:
         if self._prime is not None:
             self._steps.append(_merge_step(
                 self._gaps[-1], self._length, self._prime, p))
-            self._gaps.append([])
+            self._gaps.append(array("H"))
             self._length *= self._prime - 1
         self._prime = p
         return self._roll(len(self._gaps) - 1)
@@ -129,7 +139,7 @@ class WheelChain:
             i += 1
         if not gaps:
             raise StreamError("cannot roll an empty wheel")
-        yield from chain.from_iterable(repeat(gaps))
+        yield from cycle(gaps)
 
     def _grow(self, k):
         # Append wheel k's next gap, or return False once it is whole. A
@@ -144,7 +154,11 @@ class WheelChain:
                 continue
             if not gap:
                 return False
-            gaps[j].append(gap)
+            try:
+                gaps[j].append(gap)
+            except OverflowError:
+                raise StreamOverflow(
+                    "wheel gap %d does not fit in 16 bits" % gap) from None
             if counters is not None:
                 counters.note_buffered()
             if j == k:

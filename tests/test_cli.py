@@ -56,6 +56,12 @@ def test_list_bound(capsys):
     assert [int(v) for v in out.split()] == oracle.primes_up_to(30)
 
 
+def test_list_n_and_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "list", "--algo", "on", "--n", "5",
+                         "--bound", "30")
+    assert code == 1 and out == "" and "not both" in err
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--algo", "epq", "--bound", "100")
     assert code == 0 and out.strip() == "25"
@@ -101,6 +107,14 @@ def test_verify_single_variant(capsys):
     assert "PASS td/oracle" in out
     assert "PASS wheels" in out
     assert "PASS euler-sets" in out
+
+
+def test_verify_bound_below_the_tenth_prime(capsys):
+    # 10 holds four primes, so the set induction runs four rounds
+    code, out, _ = run(capsys, "verify", "--algo", "es", "--n", "10",
+                       "--bound", "10")
+    assert code == 0
+    assert "PASS euler-sets" in out and "4 rounds" in out
 
 
 def test_verify_euler_variant_gets_tally_check(capsys):

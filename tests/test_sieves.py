@@ -62,6 +62,30 @@ def test_naive_euler_cap_is_an_error():
         next(gen)
 
 
+def test_naive_euler_reaches_its_default_cap():
+    # two frames per prime: the room it makes must cover the whole cap, in
+    # a fresh interpreter at the default recursion limit
+    script = textwrap.dedent("""
+        from primegen import oracle
+        from primegen.sieves import STREAM_VARIANTS, VariantCapExceeded
+        from primegen.streams import take
+        variant = STREAM_VARIANTS["naive-euler"]
+        gen = variant.factory()
+        assert take(gen, variant.cap) == oracle.first_primes(variant.cap)
+        try:
+            next(gen)
+        except VariantCapExceeded:
+            print("capped at", variant.cap)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["capped", "at", "3000"]
+
+
 def test_bird_sieve_first_10k(primes10k):
     assert take(bird_sieve(), 10_000) == primes10k
 
@@ -157,6 +181,23 @@ def test_es_step_on_empty_survivors_is_an_error():
         es_step(2, iter([]))
 
 
+@given(bound=st.integers(29, 1_500), fresh_at=st.integers(1, 10))
+@example(bound=29, fresh_at=1)
+@settings(max_examples=25, deadline=None)
+def test_es_step_on_a_reiterable_matches_the_tee_and_the_sets(bound, fresh_at):
+    # one induction tees every level; the other hands level `fresh_at` its
+    # survivors as a list, which es_step reads afresh for each reader
+    teed, fresh = iter(range(2, bound + 1)), iter(range(2, bound + 1))
+    for k, p in enumerate(oracle.first_primes(10), start=1):
+        if k == fresh_at:
+            fresh = list(fresh)
+        erased_teed, teed = es_step(p, teed)
+        erased_fresh, fresh = es_step(p, fresh)
+        want = sorted(oracle.euler_sets_brute_force(k, bound).erased[k - 1])
+        assert [v for v in erased_fresh if v <= bound] == want
+        assert [v for v in erased_teed if v <= bound] == want
+
+
 def test_es_erased_heads():
     survivors = count(2)
     erased1, survivors = es_step(2, survivors)
@@ -221,6 +262,23 @@ def test_wheel_chain_holds_each_wheel_once(variant):
     # one gap list per wheel, rolled in place: no replay memo and no
     # cycle's copy of it beside the list
     assert _traced_peak(variant, 2**14) < 0.34 * 2**20
+
+
+@pytest.mark.parametrize("variant", [
+    STREAM_VARIANTS["es"], PQ_VARIANTS["epq"],
+], ids=lambda v: v.name)
+def test_survivor_induction_holds_no_window_of_candidates(variant):
+    # the first level mounts the candidates afresh for each of its readers
+    assert _traced_peak(variant, 2**14) < 2 * 2**20
+
+
+@pytest.mark.parametrize("variant", [
+    STREAM_VARIANTS["w"], STREAM_VARIANTS["w4"],
+    PQ_VARIANTS["wpq"], PQ_VARIANTS["wpq4"],
+], ids=lambda v: v.name)
+def test_wheel_chain_packs_its_gaps(variant):
+    # two bytes a gap, where a list slot takes eight
+    assert _traced_peak(variant, 2**14) < 0.22 * 2**20
 
 
 @pytest.mark.parametrize("factory, figures", [

@@ -185,6 +185,17 @@ def test_next_wheel_deltas_lazy_and_correct():
     assert take(lazy, 10) == [4, 2, 4, 2, 4, 6, 2, 6, 4, 2]
 
 
+def test_wheel_chain_gap_past_16_bits_overflows():
+    # gaps live in 2-byte arrays; a merged gap past 65,535 raises, never wraps
+    wheels = WheelChain((40_000, 40_000))
+    assert take(wheels.turn(3), 3) == [40_000, 40_000, 40_000]
+    with pytest.raises(StreamOverflow):
+        next(wheels.turn(5))
+    with pytest.raises(StreamOverflow):
+        next(WheelChain((65_536,)).turn(3))
+    assert next(WheelChain((65_535,)).turn(3)) == 65_535
+
+
 def test_cyc_replays_small_wheels():
     wheels = WheelChain((2, 4))
     assert take(wheels.turn(5), 7) == [2, 4, 2, 4, 2, 4, 2]
