@@ -5,7 +5,12 @@ All three run on one postponed driver (O'Neill, "The Genuine Sieve of
 Eratosthenes", JFP 2009, with Will Ness's postponement). The queue maps
 each base prime's next composite (the key) to the iterator of that
 prime's later composites. A candidate is prime unless it equals the
-minimum key; when it does, every entry with that key advances in place.
+minimum key; when it does, every entry with that key advances. The heap
+holds each entry as one int, its key and insertion index packed
+(`CompositePQ`), and the driver's own loop does the heap step. A
+candidate below both the least key and the next square costs one int
+comparison and no Python call; one equal to the least key
+`heapreplace`s every entry keyed by it.
 
 Base primes are postponed: the driver holds the next base prime p and
 inserts its entry, with first key p*p, only when the candidates reach
@@ -37,47 +42,28 @@ from .wheels import mount
 class CompositePQ:
     """Min-heap of base-prime entries, each keyed by its next composite.
 
-    An entry is [key, p, keys]: `keys` iterates p's composites after
-    `key` in increasing order. Ties on the key break on p, which is
-    distinct, so the iterators are never compared.
+    Entry i is the int `key << 32 | i` in `heap`, and `keys[i]` iterates
+    its later keys in increasing order. Every heap comparison is one int
+    comparison; ties on a key break on i, the insertion order, which is
+    increasing p. Fewer than 2**32 entries are ever inserted: the driver
+    inserts p only when its candidates reach p*p, which `bounded` stops
+    just past 2**64, and pi(2**32) < 2**32. The step that advances
+    entries lives in the driver's loop (`_queued`).
     """
 
-    __slots__ = ("_heap", "_counters")
+    __slots__ = ("heap", "keys")
 
-    def __init__(self, counters=None):
-        self._heap = []
-        self._counters = counters
+    def __init__(self):
+        self.heap = []
+        self.keys = []
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
     def insert(self, p, keys):
         """Add base prime p at key p*p; `keys` yields its later composites."""
-        key = p * p
-        heapq.heappush(self._heap, [key, p, keys])
-        c = self._counters
-        if c is not None:
-            c.born(key)
-            c.pq_size = len(self._heap)
-
-    def cross_off(self, c):
-        """Advance every entry keyed c; True when there was one.
-
-        Keys are always candidates, so none is ever below `c`.
-        """
-        heap = self._heap
-        if not heap or heap[0][0] != c:
-            return False
-        counters = self._counters
-        while True:
-            entry = heap[0]
-            entry[0] = key = next(entry[2])
-            heapq.heapreplace(heap, entry)
-            if counters is not None:
-                counters.note_pop(c)
-                counters.born(key)
-            if heap[0][0] != c:
-                return True
+        heapq.heappush(self.heap, p * p << 32 | len(self.keys))
+        self.keys.append(keys)
 
 
 def _postponed(w4, multiples, counters, sieve):
@@ -91,21 +77,41 @@ def _postponed(w4, multiples, counters, sieve):
 
 
 def _queued(cand, feed, multiples, counters):
-    pq = CompositePQ(counters)
-    insert, cross_off = pq.insert, pq.cross_off
+    # `due` is the least key or the next square q, whichever is smaller: a
+    # candidate below it is prime after one comparison, and one equal to it
+    # is composite. Keys are candidates, so none is ever below c.
+    pq = CompositePQ()
+    heap, keys = pq.heap, pq.keys
+    replace = heapq.heapreplace
     p = next(cand)  # the last mounted prime, already out
-    q = p * p
+    q = due = p * p
     for c in cand:
-        if c < q:
-            if not cross_off(c):
-                yield c
+        if c < due:
+            yield c
             continue
-        keys = multiples(p)
-        next(keys)  # p*p, the entry's first key
-        insert(p, keys)
-        cross_off(c)
-        p = next(feed)  # an instance of an endless sieve
-        q = p * p
+        if c == q:
+            entry = multiples(p)
+            next(entry)  # p*p, the entry's first key
+            pq.insert(p, entry)
+            if counters is not None:
+                counters.born(q)
+                counters.pq_size = len(pq)
+            p = next(feed)  # an instance of an endless sieve
+            q = p * p
+        # advance every entry keyed c: the items below (c + 1) << 32
+        top = (c + 1) << 32
+        item = heap[0]
+        while item < top:
+            i = item & 0xFFFFFFFF
+            key = next(keys[i])
+            replace(heap, key << 32 | i)
+            if counters is not None:
+                counters.note_pop(c)
+                counters.born(key)
+            item = heap[0]
+        due = item >> 32
+        if q < due:
+            due = q
 
 
 def oneill_sieve(w4=False, counters=None):

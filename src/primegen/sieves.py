@@ -43,7 +43,7 @@ past the mounted primes but the last, which keeps its composites inside
 the candidates; the Hamming levels split that reader with `tee`. C is one
 more knot, a tree fold of the levels, each reading C back through a gcd
 filter (see `hamming`), so H too leaves the recursion limit alone. Only
-`naive_euler`, which is capped, raises it.
+`naive_euler`, which is capped, raises it, and only around its own pulls.
 
 Each family defines its level once, for its fold and its queue form
 (`pq`): Bird's and O'Neill's `_multiples`, W's and WPQ's `_rolling`, and
@@ -127,31 +127,25 @@ def turner_sieve(cap=DEFAULT_CAP, counters=None):
 _RECURSION_ROOM = 2_000
 
 
-def ensure_recursion_room(limit):
-    """Raise the process recursion limit to `limit` if it is lower.
-
-    Only `naive_euler` calls this. It is exempt from leaving the limit
-    alone because it is capped, and its nesting is the point: it stacks
-    one `minus` filter per prime, so a pull crosses two frames per prime.
-    """
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-
 def naive_euler(cap=NAIVE_EULER_CAP, counters=None):
     """Nested stream complementations: survivors minus p times survivors.
 
     Each round stacks another `minus` filter, so both time and retained
     memory blow up; capped like `turner_sieve`. The filter chain costs two
     stack frames per discovered prime on every pull, a `minus` and the
-    `scaled` below it, so very deep caps are bounded by the C stack.
+    `scaled` below it, so the recursion limit is raised around each pull
+    and restored after it, and very deep caps are bounded by the C stack.
     """
-    ensure_recursion_room(2 * cap + _RECURSION_ROOM)
     cs = count(2)
     for _ in range(cap):
         a, b = tee(cs)
-        # endless: every round leaves the primes past p in the stream
-        p = next(a)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 2 * cap + _RECURSION_ROOM))
+        try:
+            # endless: every round leaves the primes past p in the stream
+            p = next(a)
+        finally:
+            sys.setrecursionlimit(limit)
         yield p
         cs = minus(a, scaled(p, b), counters)
     raise VariantCapExceeded("naive_euler is capped at %d primes" % cap)

@@ -4,7 +4,7 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter, deque
-from itertools import count, islice
+from itertools import islice
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -13,46 +13,63 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegen import oracle
-from primegen.pq import CompositePQ, PQ_VARIANTS, epq_sieve, oneill_sieve, wpq_sieve
+from primegen.pq import PQ_VARIANTS, _queued, epq_sieve, oneill_sieve, wpq_sieve
 from primegen.sieves import STREAM_VARIANTS, es_euler, wheel_euler_w4
 from primegen.streams import RunCounters, take
 
 
-def test_pq_basic_ops():
-    q = CompositePQ()
-    q.insert(2, iter([6, 8, 10]))  # first key is the square, 4
-    q.insert(3, iter([12]))
-    assert len(q) == 2
-    assert [c for c in range(2, 9) if q.cross_off(c)] == [4, 6, 8]
-    assert len(q) == 2
-
-
-def test_pq_insert_below_current_min():
-    q = CompositePQ()
-    q.insert(3, iter([12]))
-    q.insert(2, iter([6, 8, 10]))
-    assert not q.cross_off(3)
-    assert [c for c in range(4, 10) if q.cross_off(c)] == [4, 6, 8, 9]
-
-
-def test_pq_cross_off_advances_every_tied_entry():
+def test_oneill_advances_every_entry_tied_on_a_key():
     counters = RunCounters.with_tally()
-    q = CompositePQ(counters)
-    q.insert(2, count(6, 2))
-    q.insert(3, count(12, 3))
-    crossed = [c for c in range(2, 13) if q.cross_off(c)]
-    assert crossed == [4, 6, 8, 9, 10, 12]
-    assert counters.popped[12] == 2  # once per entry keyed 12
-    assert counters.tally[4] == counters.tally[9] == 1  # squares at insert
+    assert take(oneill_sieve(False, counters), 6)[-1] == 13
+    assert counters.popped[12] == 2  # the entries of 2 and 3
+    assert counters.tally[12] == 2
+    assert counters.pop_inversions == 0
+
+
+def test_queue_counts_each_square_when_it_is_inserted():
+    counters = RunCounters.with_tally()
+    gen = oneill_sieve(False, counters)
+    assert take(gen, 4) == [2, 3, 5, 7]
+    assert sorted(counters.tally) == [4, 6, 8]  # 9 is not reached yet
+    assert counters.pq_size == 1
+    assert next(gen) == 11
+    assert counters.tally[9] == 1 and counters.pq_size == 2
+    assert counters.popped[9] == 1  # its entry advances at once
+
+
+@pytest.mark.parametrize("sieve", [epq_sieve, wpq_sieve])
+def test_euler_pq_pops_each_key_once(sieve):
+    bound = 20_000
+    counters = RunCounters.with_tally()
+    for p in sieve(False, counters):
+        if p > bound:
+            break
+    popped = {k: c for k, c in counters.popped.items() if k <= bound}
+    assert sorted(popped) == oracle.composites_up_to(bound)
+    assert set(popped.values()) == {1}
+    assert counters.pop_inversions == 0
+
+
+def test_packed_heap_items_order_keys_past_63_bits():
+    # the driver over synthetic input: base "primes" whose squares and keys
+    # pass 2**63, two entries tied on a key, and candidates no entry keys
+    p1, p2 = 2**32 + 15, 2**32 + 17
+    tie, last = p2 * p2 + 2**40, p2 * p2 + 2**41
+    advanced = []
+
+    def multiples(p):
+        for key in (p * p, tie, last + p):
+            yield key
+            advanced.append((p, key))
+
+    cand = iter([p1, p1 * p1, p1 * p1 + 1, p2 * p2, tie - 1, tie, last])
+    counters = RunCounters.with_tally()
+    out = list(_queued(cand, iter([p2, 2**40]), multiples, counters))
+    assert out == [p1 * p1 + 1, tie - 1, last]
+    assert advanced == [(p1, p1 * p1), (p2, p2 * p2), (p1, tie), (p2, tie)]
+    assert counters.popped[tie] == 2
     assert counters.pq_size == 2
     assert counters.pop_inversions == 0
-    assert q.cross_off(14) and q.cross_off(15)
-
-
-def test_pq_empty_queue_crosses_off_nothing():
-    q = CompositePQ()
-    assert not q.cross_off(4)
-    assert len(q) == 0
 
 
 @pytest.mark.parametrize("w4", [False, True])

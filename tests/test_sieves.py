@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -84,6 +84,13 @@ def test_naive_euler_reaches_its_default_cap():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["capped", "at", "3000"]
+
+
+def test_naive_euler_leaves_the_recursion_limit_alone():
+    # the limit is raised only around its own pulls
+    limit = sys.getrecursionlimit()
+    assert list(islice(naive_euler(), 10)) == oracle.first_primes(10)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_bird_sieve_first_10k(primes10k):
