@@ -1,13 +1,22 @@
 """`primegen`: generate, verify, and benchmark the sieve family.
 
-Subcommands:
-  nth     print the n-th prime of one variant
-  list    print the first n primes (or all primes up to a bound)
-  count   print how many primes lie at or below a bound
-  verify  run the cross-checks (variant vs oracle, wheel identities,
+Subcommands and the options each reads:
+  nth     --algo A --n N
+          print the n-th prime of one variant
+  list    --algo A (--n N | --bound B)
+          print the first n primes, or all primes up to a bound
+  count   --algo A --bound B
+          print how many primes lie at or below a bound
+  stats   --algo A --bound B
+          instrumented counters for one variant as a JSON line
+  verify  [--algo A,B,...] [--n 100000] [--bound 10000]
+          run the cross-checks (variant vs oracle, wheel identities,
           erased/survivor induction, exactly-once tallies, queue shape)
-  bench   desk-scale timing table shaped like a results table
-  stats   instrumented counters for one variant as a JSON line
+  bench   [--algo A,B,...] [--exponents 14..16] [--format md|csv|json]
+          [--repeats 5] [--timeout 60] [--paper-format]
+          desk-scale timing table at n = 2^e for each exponent e
+
+A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
@@ -29,7 +38,7 @@ from math import gcd, isqrt
 from . import ALL_VARIANTS, oracle
 from .sieves import VariantCapExceeded
 from .streams import RunCounters, StreamError, StreamOverflow, take
-from .wheels import Wheel, next_wheel1, wheel_from_primes, wheel4
+from .wheels import Wheel, next_wheel1, wheel_from_primes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +53,6 @@ TABLE3_ORDER = ("on", "wpq", "epq", "on4", "wpq4", "epq4")
 
 EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "naive-w", "epq",
                   "wpq", "epq4", "wpq4")
-CAPPED = ("turner", "naive-euler")
 CAPPED_LIMIT = 2_000
 
 
@@ -78,10 +86,8 @@ class BenchReport:
     repeats: int
 
 
-def resolve_variant(name, wheel=None):
+def resolve_variant(name):
     name = name.strip().lower()
-    if wheel == 4 and not name.endswith("4"):
-        name += "4"
     if name not in ALL_VARIANTS:
         raise UsageError(
             "unknown variant %r (choose from %s)"
@@ -151,14 +157,14 @@ def _format_cell(ns, paper):
 
 
 def cmd_nth(args):
-    variant = resolve_variant(args.algo, args.wheel)
+    variant = resolve_variant(args.algo)
     stats = run_to_nth(variant, args.n)
     print(stats.nth_prime)
     return EXIT_OK
 
 
 def cmd_list(args):
-    variant = resolve_variant(args.algo, args.wheel)
+    variant = resolve_variant(args.algo)
     if args.n is None and args.bound is None:
         raise UsageError("list needs --n or --bound")
     if args.n is not None and args.bound is not None:
@@ -178,17 +184,13 @@ def cmd_list(args):
 
 
 def cmd_count(args):
-    if args.bound is None:
-        raise UsageError("count needs --bound")
-    variant = resolve_variant(args.algo, args.wheel)
+    variant = resolve_variant(args.algo)
     print(len(primes_up_to_bound(variant, args.bound)))
     return EXIT_OK
 
 
 def cmd_stats(args):
-    if args.bound is None:
-        raise UsageError("stats needs --bound")
-    variant = resolve_variant(args.algo, args.wheel)
+    variant = resolve_variant(args.algo)
     counters = RunCounters.with_tally()
     started = time.perf_counter_ns()
     primes = primes_up_to_bound(variant, args.bound, counters)
@@ -236,7 +238,7 @@ def _variant_list(args, default):
         names = [s.strip().lower() for s in args.algo.split(",")]
         if not any(names):
             raise UsageError("empty variant list")
-    return [resolve_variant(name, args.wheel) for name in names]
+    return [resolve_variant(name) for name in names]
 
 
 def run_bench(variants, ns, repeats, timeout_s):
@@ -319,10 +321,7 @@ def cmd_bench(args):
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
     variants = _variant_list(args, default=[*TABLE1_ORDER, *TABLE3_ORDER])
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = [1 << e for e in _parse_exponents(args.exponents)]
+    ns = [1 << e for e in _parse_exponents(args.exponents)]
     report = run_bench(variants, ns, repeats=args.repeats,
                        timeout_s=args.timeout)
     sys.stdout.write(format_bench(report, variants, ns, args.format,
@@ -335,7 +334,7 @@ def cmd_bench(args):
 
 
 def _check_variant_against_oracle(variant, n):
-    limit = min(n, CAPPED_LIMIT) if variant.name in CAPPED else n
+    limit = n if variant.cap is None else min(n, CAPPED_LIMIT)
     expected = oracle.first_primes(limit)
     got = take(variant.factory(), limit)
     if got != expected:
@@ -453,9 +452,7 @@ def run_verify(variants, n, bound, out=None):
 
 def cmd_verify(args):
     variants = _variant_list(args, default=list(ALL_VARIANTS))
-    n = args.n if args.n is not None else 100_000
-    bound = args.bound if args.bound is not None else 10_000
-    failures = run_verify(variants, n, bound)
+    failures = run_verify(variants, args.n, args.bound)
     if failures:
         print("%d check(s) failed" % failures, file=sys.stderr)
         return EXIT_VERIFY
@@ -476,46 +473,42 @@ def build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algo_default=None):
-        p.add_argument("--algo", default=algo_default,
-                       help="variant name, or comma list for verify/bench")
-        p.add_argument("--wheel", type=int, choices=(0, 4), default=None,
-                       help="mount the 210-wheel form of the variant")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
+    def command(name, fn, summary, algo_list=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if algo_list:
+            p.add_argument("--algo", help="comma list of variant names")
+        else:
+            p.add_argument("--algo", required=True, help="variant name")
+        return p
 
-    p_nth = sub.add_parser("nth", help="print the n-th prime")
-    common(p_nth)
-    p_nth.set_defaults(fn=cmd_nth, needs_algo=True, needs_n=True)
+    p = command("nth", cmd_nth, "print the n-th prime")
+    p.add_argument("--n", type=int, required=True)
 
-    p_list = sub.add_parser("list", help="print primes")
-    common(p_list)
-    p_list.set_defaults(fn=cmd_list, needs_algo=True)
+    p = command("list", cmd_list, "print the first n primes, or up to a bound")
+    p.add_argument("--n", type=int)
+    p.add_argument("--bound", type=int)
 
-    p_count = sub.add_parser("count", help="count primes up to a bound")
-    common(p_count)
-    p_count.set_defaults(fn=cmd_count, needs_algo=True)
+    p = command("count", cmd_count, "count primes up to a bound")
+    p.add_argument("--bound", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
+    p = command("stats", cmd_stats, "instrumented counters as JSON")
+    p.add_argument("--bound", type=int, required=True)
 
-    p_stats = sub.add_parser("stats", help="instrumented counters as JSON")
-    common(p_stats)
-    p_stats.set_defaults(fn=cmd_stats, needs_algo=True)
+    p = command("verify", cmd_verify, "run the verification suite",
+                algo_list=True)
+    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--bound", type=int, default=10_000)
 
-    p_bench = sub.add_parser("bench", help="desk-scale timing table")
-    common(p_bench)
-    p_bench.add_argument("--exponents", default="14..16",
-                         help="powers of two to target, e.g. 16..20 or 14,18")
-    p_bench.add_argument("--format", choices=("csv", "md", "json"),
-                         default="md")
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--timeout", type=float, default=60.0,
-                         help="per-run cell timeout in seconds")
-    p_bench.add_argument("--paper-format", action="store_true",
-                         help="print cells as minute'second^tenth")
-    p_bench.set_defaults(fn=cmd_bench)
+    p = command("bench", cmd_bench, "desk-scale timing table", algo_list=True)
+    p.add_argument("--exponents", default="14..16",
+                   help="powers of two to target, e.g. 16..20 or 14,18")
+    p.add_argument("--format", choices=("csv", "md", "json"), default="md")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--timeout", type=float, default=60.0,
+                   help="per-run cell timeout in seconds")
+    p.add_argument("--paper-format", action="store_true",
+                   help="print cells as minute'second^tenth")
     return parser
 
 
@@ -523,10 +516,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "needs_algo", False) and not args.algo:
-            raise UsageError("%s needs --algo" % args.command)
-        if getattr(args, "needs_n", False) and args.n is None:
-            raise UsageError("%s needs --n" % args.command)
         code = args.fn(args)
         sys.stdout.flush()
         return code

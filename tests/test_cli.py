@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from primegen import cli, oracle
+from primegen import ALL_VARIANTS, cli, oracle
 
 
 def run(capsys, *argv):
@@ -18,11 +18,6 @@ def run(capsys, *argv):
 def test_nth_first_prime(capsys):
     code, out, _ = run(capsys, "nth", "--algo", "es", "--n", "1")
     assert code == 0 and out.strip() == "2"
-
-
-def test_nth_wheel_flag(capsys):
-    code, out, _ = run(capsys, "nth", "--algo", "w", "--wheel", "4", "--n", "100")
-    assert code == 0 and out.strip() == "541"
 
 
 def test_nth_capped_variant_exceeds(capsys):
@@ -100,6 +95,45 @@ def test_stats_deterministic_apart_from_timing(capsys):
     assert a == b
 
 
+# composites, distinct_composites, comparisons and peak_buffer at
+# `stats --bound 20000`; every variant reads n = pulls = 2262 there
+STATS_AT_20000 = {
+    "td": (0, 0, 0, 0),
+    "turner": (0, 0, 0, 0),
+    "naive-euler": (0, 0, 2628480, 0),
+    "bs": (35485, 17737, 154118, 0),
+    "bs4": (2748, 2313, 19983, 0),
+    "h": (17737, 17737, 98701, 20011),
+    "h4": (2313, 2313, 20294, 4579),
+    "naive-w": (17737, 17737, 80920, 0),
+    "w": (17737, 17737, 80920, 1962),
+    "w4": (2313, 2313, 17949, 1950),
+    "es": (17737, 17737, 97391, 0),
+    "es4": (2313, 2313, 20051, 0),
+    "on": (35485, 17737, 0, 0),
+    "on4": (2748, 2313, 0, 0),
+    "epq": (17737, 17737, 16469, 0),
+    "epq4": (2313, 2313, 2100, 0),
+    "wpq": (17737, 17737, 0, 1962),
+    "wpq4": (2313, 2313, 0, 1950),
+}
+
+
+@pytest.mark.parametrize("name", list(ALL_VARIANTS))
+def test_stats_record_is_pinned(capsys, name):
+    code, out, _ = run(capsys, "stats", "--algo", name, "--bound", "20000")
+    record = json.loads(out)
+    record.pop("wall_ns")
+    composites, distinct, comparisons, peak = STATS_AT_20000[name]
+    assert code == 0
+    assert record == {
+        "variant": ALL_VARIANTS[name].label, "bound": 20000, "n": 2262,
+        "nth_prime": 19997, "composites": composites,
+        "distinct_composites": distinct, "comparisons": comparisons,
+        "pulls": 2262, "peak_buffer": peak,
+    }
+
+
 def test_verify_single_variant(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "td", "--n", "500",
                        "--bound", "500")
@@ -168,8 +202,19 @@ def test_closed_stdout_ends_quietly(argv):
     (("bench", "--algo", "td", "--exponents", "-1"), "bad exponent spec '-1'"),
     (("bench", "--algo", "td", "--exponents", "x..5"), "bad exponent spec 'x..5'"),
     (("list", "--algo", "td", "--n", "-3"), "--n must be >= 0"),
+    (("nth", "--algo", "es", "--n", "10", "--bound", "3"),
+     "unrecognized arguments"),
+    (("count", "--algo", "es", "--bound", "100", "--n", "5"),
+     "unrecognized arguments"),
+    (("stats", "--algo", "es", "--bound", "100", "--n", "3"),
+     "unrecognized arguments"),
+    (("bench", "--algo", "td", "--bound", "7"), "unrecognized arguments"),
+    (("bench", "--algo", "td", "--n", "64"), "unrecognized arguments"),
+    (("nth", "--algo", "w", "--wheel", "4", "--n", "100"),
+     "unrecognized arguments"),
 ], ids=["zero-repeats", "negative-repeats", "negative-exponent",
-        "garbled-exponents", "negative-list-n"])
+        "garbled-exponents", "negative-list-n", "nth-bound", "count-n",
+        "stats-n", "bench-bound", "bench-n", "nth-wheel"])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1 and message in err
