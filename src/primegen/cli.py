@@ -15,6 +15,9 @@ Subcommands and the options each reads:
   bench   [--algo A,B,...] [--exponents 14..16] [--format md|csv|json]
           [--repeats 5] [--timeout 60] [--paper-format]
           desk-scale timing table at n = 2^e for each exponent e
+  bench   --layers [--format md|csv|json] [--repeats 5]
+          ns per element pulled into the stream kernel's merge step,
+          difference step and fold, each over fixed synthetic input
 
 A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
@@ -32,12 +35,14 @@ import platform
 import statistics
 import sys
 import time
+from collections import deque
 from dataclasses import astuple, dataclass
 from math import gcd, isqrt
 
 from . import ALL_VARIANTS, oracle
 from .sieves import VariantCapExceeded
-from .streams import RunCounters, StreamError, StreamOverflow, take
+from .streams import (RunCounters, StreamError, StreamOverflow, d_union,
+                      fold_union_p, s_minus, take)
 from .wheels import Wheel, next_wheel1, wheel_from_primes
 
 EXIT_OK = 0
@@ -266,9 +271,12 @@ def run_bench(variants, ns, repeats, timeout_s):
             cell = run_cell(variant, n)
             if cell is not None:
                 rows.append(cell)
-    env = "%s / Python %s" % (platform.platform(), platform.python_version())
-    return BenchReport(rows=rows, timeouts=timeouts, environment=env,
-                       repeats=repeats)
+    return BenchReport(rows=rows, timeouts=timeouts,
+                       environment=_environment(), repeats=repeats)
+
+
+def _environment():
+    return "%s / Python %s" % (platform.platform(), platform.python_version())
 
 
 def _bench_order(variants):
@@ -320,13 +328,78 @@ def format_bench(report, variants, ns, fmt, paper=False):
 def cmd_bench(args):
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
+    if args.layers:
+        if (args.algo, args.exponents, args.timeout) != (None,) * 3 or \
+                args.paper_format:
+            raise UsageError("--layers takes --format and --repeats only")
+        sys.stdout.write(format_layers(run_layers(args.repeats), args.format))
+        return EXIT_OK
     variants = _variant_list(args, default=[*TABLE1_ORDER, *TABLE3_ORDER])
-    ns = [1 << e for e in _parse_exponents(args.exponents)]
+    exponents = "14..16" if args.exponents is None else args.exponents
+    ns = [1 << e for e in _parse_exponents(exponents)]
     report = run_bench(variants, ns, repeats=args.repeats,
-                       timeout_s=args.timeout)
+                       timeout_s=60.0 if args.timeout is None else args.timeout)
     sys.stdout.write(format_bench(report, variants, ns, args.format,
                                   paper=args.paper_format))
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# layer benchmark
+
+LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
+_LAYER_N = 1 << 16
+_FOLD_LEVELS = 64
+
+#: each kernel layer over fixed synthetic input: `make(counters)` builds a
+#: fresh stream, and its elements are those `counters.comparisons` counts,
+#: one per element pulled into a merge or difference loop
+LAYERS = (
+    ("merge", lambda c: d_union(range(0, 2 * _LAYER_N, 2),
+                                range(1, 2 * _LAYER_N, 2), c)),
+    ("difference", lambda c: s_minus(range(2 * _LAYER_N),
+                                     range(0, 2 * _LAYER_N, 2), c)),
+    # the residues mod k as k levels: an element of the i-th crosses about
+    # 2*log2(i) fold nodes, and each crossing counts
+    ("fold", lambda c: fold_union_p(
+        (iter(range(i, _LAYER_N, _FOLD_LEVELS))
+         for i in range(_FOLD_LEVELS, 2 * _FOLD_LEVELS)), True, c)),
+)
+
+
+def run_layers(repeats):
+    """(layer, elements, ns per element) rows: the median over `repeats`
+    uninstrumented drains of each layer's stream, after one warm-up, over
+    the elements one counted drain pulls."""
+    rows = []
+    for name, make in LAYERS:
+        counters = RunCounters()
+        deque(make(counters), maxlen=0)
+        walls = []
+        for _ in range(repeats + 1):
+            stream = make(None)
+            started = time.perf_counter_ns()
+            deque(stream, maxlen=0)
+            walls.append(time.perf_counter_ns() - started)
+        elements = counters.comparisons
+        rows.append((name, elements,
+                     round(statistics.median(walls[1:]) / elements, 1)))
+    return rows
+
+
+def format_layers(rows, fmt):
+    env = _environment()
+    if fmt == "json":
+        return json.dumps({"environment": env, "layers": [
+            dict(zip(LAYER_COLUMNS, row)) for row in rows]}, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(LAYER_COLUMNS)]
+        lines += [",".join(map(str, row)) for row in rows]
+    else:
+        lines = ["<!-- %s -->" % env, "| layer | elements | ns/element |",
+                 "|---|---|---|"]
+        lines += ["| %s | %d | %.1f |" % row for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +574,15 @@ def build_parser():
     p.add_argument("--bound", type=int, default=10_000)
 
     p = command("bench", cmd_bench, "desk-scale timing table", algo_list=True)
-    p.add_argument("--exponents", default="14..16",
-                   help="powers of two to target, e.g. 16..20 or 14,18")
+    p.add_argument("--exponents",
+                   help="powers of two to target, e.g. 16..20 or 14,18 "
+                        "(default 14..16)")
     p.add_argument("--format", choices=("csv", "md", "json"), default="md")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--timeout", type=float, default=60.0,
-                   help="per-run cell timeout in seconds")
+    p.add_argument("--timeout", type=float,
+                   help="per-run cell timeout in seconds (default 60)")
+    p.add_argument("--layers", action="store_true",
+                   help="time the kernel layers instead of the variants")
     p.add_argument("--paper-format", action="store_true",
                    help="print cells as minute'second^tenth")
     return parser

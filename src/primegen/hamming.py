@@ -30,6 +30,7 @@ generators `d_union` their composites: disjoint again, for primes.
 
 from itertools import chain, compress, islice, repeat, takewhile, tee
 from math import gcd
+from operator import eq, mul
 
 from .streams import (U64_MAX, StreamOverflow, births, d_union, fix_stream,
                       fold_union_p)
@@ -73,10 +74,10 @@ def _levels(primes, selector, counters):
             raise OverflowError("%d**2 exceeds 64 bits" % x)
         above, primes = tee(primes)
         data, selector = selector.__copy__(), selector.__copy__()
-        coprime = map((1).__eq__, map(gcd, selector, repeat(below)))
+        coprime = map(eq, map(gcd, selector, repeat(below)), repeat(1))
         rough = compress(data, coprime)
         below *= x
-        grown = map(x.__mul__, d_union(above, rough, counters))
+        grown = map(mul, repeat(x), d_union(above, rough, counters))
         yield births(chain((xx,), takewhile(U64_MAX.__ge__, grown),
                            _overflow(x)), counters)
 

@@ -59,7 +59,8 @@ window of them. `_folded` and `pq._postponed` bound what they emit
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, cycle, islice, tee
+from itertools import accumulate, chain, count, cycle, islice, repeat, tee
+from operator import mul
 
 from .hamming import composites_of_primes
 from .streams import (
@@ -206,7 +207,7 @@ def naive_wheel_euler(counters=None):
         # coprime_gaps reads its prefix lazily: hand it this level's copy
         gaps = coprime_gaps(tuple(prefix), p)
         prefix.append(p)
-        return accumulate(map(p.__mul__, gaps), initial=p * p)
+        return accumulate(map(mul, repeat(p), gaps), initial=p * p)
 
     return _folded(False, level, True, counters, naive_wheel_euler)
 
@@ -226,8 +227,8 @@ def wheel_euler_w4(counters=None):
 def _rolling(w4, counters):
     # W's level: p*p plus the running sums of the current wheel's gaps,
     # scaled by p
-    wheels = WheelChain(mount(w4)[1], counters)
-    return lambda p: accumulate(map(p.__mul__, wheels.turn(p)), initial=p * p)
+    turn = WheelChain(mount(w4)[1], counters).turn
+    return lambda p: accumulate(map(mul, repeat(p), turn(p)), initial=p * p)
 
 
 def es_euler(counters=None):

@@ -166,6 +166,10 @@ def _counted(source, counters):
 # precondition flag is read only on the arm that valid input never takes,
 # so `d_union` and `s_minus` make the comparisons `union` and `minus` make,
 # and under -O a broken precondition gives the union or minus output.
+#
+# Every loop advances an input by `for x in xs: break`, with `else:` for its
+# end: one element per pull still, but through C-level FOR_ITER, so no node
+# holds a bound `__next__` method-wrapper or calls one per element.
 
 
 def union(xs, ys, counters=None):
@@ -201,16 +205,14 @@ def _pulled(source, counters):
 
 def _merge(xs, ys, disjoint, fold=None, span=0):
     if fold is None:
-        nx = xs.__next__
-        ny = ys.__next__
-        try:
-            x = nx()
-        except StopIteration:
+        for x in xs:
+            break
+        else:
             yield from ys
             return
-        try:
-            y = ny()
-        except StopIteration:
+        for y in ys:
+            break
+        else:
             yield x
             yield from xs
             return
@@ -222,15 +224,14 @@ def _merge(xs, ys, disjoint, fold=None, span=0):
         x, xs = fold.grow(left)
         if x is None:
             return
-        nx = xs.__next__
         # the right side is built only once the left's next element passes
         # the head of the level forced last: every unforced level starts
         # above that head, so until then the left alone is due
         while True:
             yield x
-            try:
-                x = nx()
-            except StopIteration:
+            for x in xs:
+                break
+            else:
                 y, ys = fold.grow(right)
                 if y is not None:
                     yield y
@@ -243,35 +244,34 @@ def _merge(xs, ys, disjoint, fold=None, span=0):
             yield x
             yield from xs
             return
-        ny = ys.__next__
     while True:
         if x < y:
             yield x
-            try:
-                x = nx()
-            except StopIteration:
+            for x in xs:
+                break
+            else:
                 yield y
                 yield from ys
                 return
         elif y < x:
             yield y
-            try:
-                y = ny()
-            except StopIteration:
+            for y in ys:
+                break
+            else:
                 yield x
                 yield from xs
                 return
         else:
             assert not disjoint, "disjoint merge: both inputs contain %d" % x
             yield x
-            try:
-                x = nx()
-            except StopIteration:
+            for x in xs:
+                break
+            else:
                 yield from ys
                 return
-            try:
-                y = ny()
-            except StopIteration:
+            for y in ys:
+                break
+            else:
                 yield x
                 yield from xs
                 return
@@ -292,41 +292,39 @@ def s_minus(xs, ys, counters=None):
 
 
 def _diff(xs, ys, subset):
-    nx = xs.__next__
-    ny = ys.__next__
-    try:
-        x = nx()
-    except StopIteration:
+    for x in xs:
+        break
+    else:
         return
-    try:
-        y = ny()
-    except StopIteration:
+    for y in ys:
+        break
+    else:
         yield x
         yield from xs
         return
     while True:
         if x == y:
-            try:
-                x = nx()
-            except StopIteration:
+            for x in xs:
+                break
+            else:
                 return
-            try:
-                y = ny()
-            except StopIteration:
+            for y in ys:
+                break
+            else:
                 yield x
                 yield from xs
                 return
         elif x < y:
             yield x
-            try:
-                x = nx()
-            except StopIteration:
+            for x in xs:
+                break
+            else:
                 return
         else:
             assert not subset, "s_minus: ys is not a subset of xs (saw %d > %d)" % (x, y)
-            try:
-                y = ny()
-            except StopIteration:
+            for y in ys:
+                break
+            else:
                 yield x
                 yield from xs
                 return

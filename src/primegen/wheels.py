@@ -1,7 +1,7 @@
 """Wheel construction: from scratch and incrementally.
 
 A wheel w_k is the finite sequence of gaps between consecutive naturals
-coprime to the first k primes; rolling it from p_{k+1} (`spin(circ(w), p)`)
+coprime to the first k primes; rolling it from p_{k+1} (`WheelChain.turn`)
 enumerates every number not divisible by any of those primes. Wheels are
 built either by a trial-division scan over one circumference
 (`wheel_from_primes`) or incrementally from the previous wheel

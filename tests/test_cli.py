@@ -300,3 +300,35 @@ def test_bench_paper_format(capsys):
     code, out, _ = run(capsys, "bench", "--algo", "td", "--exponents", "5",
                        "--repeats", "1", "--format", "md", "--paper-format")
     assert code == 0 and "^" in out
+
+
+def test_bench_layers_csv(capsys):
+    code, out, _ = run(capsys, "bench", "--layers", "--repeats", "1",
+                       "--format", "csv")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == "layer,elements,ns_per_element"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["merge", "difference", "fold"]
+    # each input element of the merge and the difference is pulled once;
+    # a fold element is pulled once per node it crosses
+    n = cli._LAYER_N
+    assert [int(row[1]) for row in rows[:2]] == [2 * n, 3 * n]
+    assert int(rows[2][1]) > n - cli._FOLD_LEVELS
+    assert all(float(row[2]) > 0 for row in rows)
+
+
+def test_bench_layers_json(capsys):
+    code, out, _ = run(capsys, "bench", "--layers", "--repeats", "1",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["environment"]
+    assert [row["layer"] for row in payload["layers"]] == [
+        "merge", "difference", "fold"]
+
+
+@pytest.mark.parametrize("extra", [
+    ("--algo", "w"), ("--exponents", "5"), ("--timeout", "1"),
+    ("--paper-format",)], ids=["algo", "exponents", "timeout", "paper"])
+def test_bench_layers_takes_format_and_repeats_only(capsys, extra):
+    code, _, err = run(capsys, "bench", "--layers", *extra)
+    assert code == 1 and "--layers takes --format and --repeats only" in err

@@ -431,3 +431,131 @@ def test_replay_shares_one_iterator():
     assert take(shared.reader(), 3) == [10, 11, 12]
     assert take(shared.reader(), 5) == [10, 11, 12, 13, 14]
     assert next(source) == 15  # underlying iterator advanced exactly once
+
+
+class _CountedPulls:
+    """An iterator over `values` that counts the calls to its `__next__`,
+    the one that finds it ended included."""
+
+    def __init__(self, values):
+        self._it = iter(values)
+        self.pulls = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.pulls += 1
+        return next(self._it)
+
+
+PULLERS = {
+    "union": union,
+    "d_union": d_union,
+    "minus": minus,
+    "s_minus": s_minus,
+    "fold_union_p": fold_union_p,
+    "fold_union_p/disjoint": lambda levels: fold_union_p(levels, True),
+}
+
+# (combinator, inputs, trace): each trace row is an output element and the
+# pulls made of every input once it is out; the last row, None, holds them
+# once the output has ended. A fold's inputs are its inner streams, and the
+# first count is of the stream of them. Every merge and difference step
+# pulls one element, and an ended input is found ended once.
+PULL_TRACES = [
+    ("union", ([], []),
+     [(None, 1, 1)]),
+    ("union", ([], [1, 2]),
+     [(1, 1, 1), (2, 1, 2), (None, 1, 3)]),
+    ("union", ([1, 2], []),
+     [(1, 1, 1), (2, 2, 1), (None, 3, 1)]),
+    ("union", ([1, 3, 5], [2, 4, 6]),
+     [(1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 3, 3), (6, 4, 3),
+      (None, 4, 4)]),
+    ("union", ([1, 2], [3, 5, 7]),
+     [(1, 1, 1), (2, 2, 1), (3, 3, 1), (5, 3, 2), (7, 3, 3), (None, 3, 4)]),
+    ("union", ([4, 6, 8, 10], [5, 7]),
+     [(4, 1, 1), (5, 2, 1), (6, 2, 2), (7, 3, 2), (8, 3, 3), (10, 4, 3),
+      (None, 5, 3)]),
+    ("union", ([1, 3, 5], [1, 3, 4, 9]),
+     [(1, 1, 1), (3, 2, 2), (4, 3, 3), (5, 3, 4), (9, 4, 4), (None, 4, 5)]),
+    ("union", ([2, 4, 6], [2, 4, 6]),
+     [(2, 1, 1), (4, 2, 2), (6, 3, 3), (None, 4, 4)]),
+    ("d_union", ([], []),
+     [(None, 1, 1)]),
+    ("d_union", ([], [1, 2]),
+     [(1, 1, 1), (2, 1, 2), (None, 1, 3)]),
+    ("d_union", ([1, 2], []),
+     [(1, 1, 1), (2, 2, 1), (None, 3, 1)]),
+    ("d_union", ([1, 3, 5], [2, 4, 6]),
+     [(1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 3, 3), (6, 4, 3),
+      (None, 4, 4)]),
+    ("d_union", ([1, 2], [3, 5, 7]),
+     [(1, 1, 1), (2, 2, 1), (3, 3, 1), (5, 3, 2), (7, 3, 3), (None, 3, 4)]),
+    ("d_union", ([4, 6, 8, 10], [5, 7]),
+     [(4, 1, 1), (5, 2, 1), (6, 2, 2), (7, 3, 2), (8, 3, 3), (10, 4, 3),
+      (None, 5, 3)]),
+    ("minus", ([], []),
+     [(None, 1, 0)]),
+    ("minus", ([], [1]),
+     [(None, 1, 0)]),
+    ("minus", ([1, 2], []),
+     [(1, 1, 1), (2, 2, 1), (None, 3, 1)]),
+    ("minus", ([1, 2, 3, 4, 5], [2, 4]),
+     [(1, 1, 1), (3, 3, 2), (5, 5, 3), (None, 6, 3)]),
+    ("minus", ([1, 2, 3], [1, 2, 3]),
+     [(None, 4, 3)]),
+    ("minus", ([3, 5, 7, 9], [3]),
+     [(5, 2, 2), (7, 3, 2), (9, 4, 2), (None, 5, 2)]),
+    ("minus", ([2, 4, 6], [1, 3, 4, 8]),
+     [(2, 1, 2), (6, 3, 4), (None, 4, 4)]),
+    ("minus", ([1, 2], [0, 5, 7]),
+     [(1, 1, 2), (2, 2, 2), (None, 3, 2)]),
+    ("s_minus", ([], []),
+     [(None, 1, 0)]),
+    ("s_minus", ([], [1]),
+     [(None, 1, 0)]),
+    ("s_minus", ([1, 2], []),
+     [(1, 1, 1), (2, 2, 1), (None, 3, 1)]),
+    ("s_minus", ([1, 2, 3, 4, 5], [2, 4]),
+     [(1, 1, 1), (3, 3, 2), (5, 5, 3), (None, 6, 3)]),
+    ("s_minus", ([1, 2, 3], [1, 2, 3]),
+     [(None, 4, 3)]),
+    ("s_minus", ([3, 5, 7, 9], [3]),
+     [(5, 2, 2), (7, 3, 2), (9, 4, 2), (None, 5, 2)]),
+    ("fold_union_p", [],
+     [(None, 1)]),
+    ("fold_union_p/disjoint", [[]],
+     [(None, 2, 1)]),
+    ("fold_union_p", [[], []],
+     [(None, 3, 1, 1)]),
+    ("fold_union_p", [[4, 6, 8, 10, 12], [9, 12, 15], [], [25, 30], [49]],
+     [(4, 1, 1, 0, 0, 0, 0), (6, 2, 2, 1, 0, 0, 0), (8, 2, 3, 1, 0, 0, 0),
+      (9, 2, 4, 1, 0, 0, 0), (10, 4, 4, 2, 1, 1, 0), (12, 4, 5, 2, 1, 1, 0),
+      (15, 4, 6, 3, 1, 1, 0), (25, 4, 6, 4, 1, 1, 0), (30, 5, 6, 4, 1, 2, 1),
+      (49, 5, 6, 4, 1, 3, 1), (None, 8, 6, 4, 1, 3, 2)]),
+    ("fold_union_p/disjoint",
+     [[2, 3], [5, 7, 11], [13], [17, 19, 23, 29], [31], [37, 41]],
+     [(2, 1, 1, 0, 0, 0, 0, 0), (3, 2, 2, 1, 0, 0, 0, 0),
+      (5, 2, 3, 1, 0, 0, 0, 0), (7, 3, 3, 2, 1, 0, 0, 0),
+      (11, 3, 3, 3, 1, 0, 0, 0), (13, 3, 3, 4, 1, 0, 0, 0),
+      (17, 4, 3, 4, 2, 1, 0, 0), (19, 5, 3, 4, 2, 2, 1, 0),
+      (23, 5, 3, 4, 2, 3, 1, 0), (29, 5, 3, 4, 2, 4, 1, 0),
+      (31, 5, 3, 4, 2, 5, 1, 0), (37, 6, 3, 4, 2, 5, 2, 1),
+      (41, 8, 3, 4, 2, 5, 2, 2), (None, 8, 3, 4, 2, 5, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, inputs, trace", PULL_TRACES,
+    ids=["%s-%d" % (case[0], i) for i, case in enumerate(PULL_TRACES)])
+def test_combinators_pull_one_element_per_step(name, inputs, trace):
+    sources = [_CountedPulls(values) for values in inputs]
+    if name.startswith("fold"):
+        sources.insert(0, _CountedPulls(list(sources)))
+        out = PULLERS[name](sources[0])
+    else:
+        out = PULLERS[name](*sources)
+    got = [(v, *(s.pulls for s in sources)) for v in out]
+    assert got + [(None, *(s.pulls for s in sources))] == trace
