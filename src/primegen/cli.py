@@ -21,6 +21,11 @@ Subcommands and the options each reads:
 
 A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
+Bad input is a usage error, raised before any run or check: `nth` and
+`verify` need --n >= 1 (`list` >= 0) and `verify` --bound >= 2; `bench`
+needs --repeats >= 1, a positive, finite --timeout and at least one
+exponent, none negative.
+
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
 
@@ -36,8 +41,7 @@ import statistics
 import sys
 import time
 from collections import deque
-from dataclasses import astuple, dataclass
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from . import ALL_VARIANTS, oracle
 from .sieves import VariantCapExceeded
@@ -50,7 +54,9 @@ EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
+#: what one row of `bench` and of `bench --layers` holds, in order
 CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns")
+LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
 
 #: column order of the stream-programs table and the queue-programs table
 TABLE1_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4")
@@ -73,24 +79,6 @@ class CheckFailure(Exception):
     pass
 
 
-@dataclass
-class RunStats:
-    """One measured run of one variant."""
-
-    variant: str
-    n: int
-    nth_prime: int
-    wall_ns: int
-
-
-@dataclass
-class BenchReport:
-    rows: list
-    timeouts: set
-    environment: str
-    repeats: int
-
-
 def resolve_variant(name):
     name = name.strip().lower()
     if name not in ALL_VARIANTS:
@@ -101,16 +89,14 @@ def resolve_variant(name):
 
 
 def run_to_nth(variant, n, counters=None, timeout_s=None):
-    """Pull the first n primes; cooperative timeout between pulls."""
+    """(n-th prime, wall ns) from pulling the first n primes; cooperative
+    timeout between pulls."""
     if n < 1:
         raise UsageError("--n must be >= 1")
     gen = variant.factory(counters=counters)
     started = time.perf_counter_ns()
-    deadline = None
-    if timeout_s is not None:
-        deadline = started + int(timeout_s * 1e9)
-    got = 0
-    value = None
+    deadline = None if timeout_s is None else started + int(timeout_s * 1e9)
+    got, value = 0, None
     while got < n:
         chunk = min(2048, n - got)
         block = take(gen, chunk)
@@ -124,7 +110,7 @@ def run_to_nth(variant, n, counters=None, timeout_s=None):
     wall = time.perf_counter_ns() - started
     if counters is not None:
         counters.pulls += got
-    return RunStats(variant=variant.label, n=n, nth_prime=value, wall_ns=wall)
+    return value, wall
 
 
 def primes_up_to_bound(variant, bound, counters=None):
@@ -149,12 +135,23 @@ def paper_time(ns):
     return "%d^%d" % (seconds, tenth)
 
 
-def _format_cell(ns, paper):
-    if ns is None:
-        return "-"
-    if paper:
-        return paper_time(ns)
-    return "%.1f" % (ns / 1e6)
+def median_wall(run, repeats):
+    """(last value, median wall ns) of `repeats` calls of `run()`, each
+    returning (value, wall ns), after one warm-up call."""
+    run()
+    values, walls = zip(*(run() for _ in range(repeats)))
+    return values[-1], statistics.median(walls)
+
+
+def format_rows(fmt, columns, doc, key):
+    """`doc[key]`, rows of `columns`, as csv under a header line; or, for
+    json, `doc` with those rows as objects."""
+    rows = doc[key]
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n"
+                       for row in [columns, *rows])
+    return json.dumps({**doc, key: [dict(zip(columns, row)) for row in rows]},
+                      indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +159,7 @@ def _format_cell(ns, paper):
 
 
 def cmd_nth(args):
-    variant = resolve_variant(args.algo)
-    stats = run_to_nth(variant, args.n)
-    print(stats.nth_prime)
+    print(run_to_nth(resolve_variant(args.algo), args.n)[0])
     return EXIT_OK
 
 
@@ -182,15 +177,12 @@ def cmd_list(args):
             raise StreamError("variant ended early")
     else:
         values = primes_up_to_bound(variant, args.bound)
-    sys.stdout.write("\n".join(map(str, values)))
-    if values:
-        sys.stdout.write("\n")
+    sys.stdout.write("".join("%d\n" % v for v in values))
     return EXIT_OK
 
 
 def cmd_count(args):
-    variant = resolve_variant(args.algo)
-    print(len(primes_up_to_bound(variant, args.bound)))
+    print(len(primes_up_to_bound(resolve_variant(args.algo), args.bound)))
     return EXIT_OK
 
 
@@ -221,14 +213,11 @@ def _parse_exponents(text):
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError
+            lo, hi = map(int, text.split("..", 1))
             exponents = list(range(lo, hi + 1))
         else:
             exponents = [int(part) for part in text.split(",") if part]
-        if min(exponents, default=0) < 0:
+        if min(exponents, default=-1) < 0:
             raise ValueError
         return exponents
     except ValueError:
@@ -247,81 +236,52 @@ def _variant_list(args, default):
 
 
 def run_bench(variants, ns, repeats, timeout_s):
-    """One warm-up plus `repeats` timed runs per (variant, n) cell."""
-    rows = []
-    timeouts = set()
-
-    def run_cell(variant, n):
-        walls = []
-        for attempt in range(repeats + 1):
+    """One warm-up plus `repeats` timed runs per (variant, n) cell: a
+    `CSV_COLUMNS` row per finished cell, with the median wall, and the
+    (variant name, n) of each cell that timed out or hit a limit."""
+    rows, timeouts = [], set()
+    for variant in variants:
+        for n in ns:
             try:
-                stats = run_to_nth(variant, n, timeout_s=timeout_s)
+                p_n, wall = median_wall(
+                    lambda: run_to_nth(variant, n, timeout_s=timeout_s),
+                    repeats)
             except (CellTimeout, VariantCapExceeded, StreamOverflow,
                     RecursionError):
                 timeouts.add((variant.name, n))
-                return None
-            if attempt:           # first run is the warm-up
-                walls.append(stats.wall_ns)
-        median = int(statistics.median(walls))
-        return RunStats(variant=variant.label, n=n,
-                        nth_prime=stats.nth_prime, wall_ns=median)
-
-    for variant in variants:
-        for n in ns:
-            cell = run_cell(variant, n)
-            if cell is not None:
-                rows.append(cell)
-    return BenchReport(rows=rows, timeouts=timeouts,
-                       environment=_environment(), repeats=repeats)
+            else:
+                rows.append((variant.label, n, p_n, int(wall)))
+    return rows, timeouts
 
 
 def _environment():
     return "%s / Python %s" % (platform.platform(), platform.python_version())
 
 
-def _bench_order(variants):
-    order = [*TABLE1_ORDER, *TABLE3_ORDER]
-    extra = [v.name for v in variants if v.name not in order]
-    ranked = [name for name in order if name in {v.name for v in variants}]
-    return ranked + extra
-
-
-def format_bench(report, variants, ns, fmt, paper=False):
-    by_cell = {(r.variant, r.n): r for r in report.rows}
-    names = _bench_order(variants)
-    labels = {v.name: v.label for v in variants}
-    if fmt == "json":
-        payload = {
-            "environment": report.environment,
-            "repeats": report.repeats,
-            "rows": [dict(zip(CSV_COLUMNS, astuple(r))) for r in report.rows],
-            "timeouts": sorted(list(t) for t in report.timeouts),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for n in ns:
-            for name in names:
-                row = by_cell.get((labels[name], n))
-                if row is None:
-                    lines.append("%s,%d,,-" % (labels[name], n))
-                else:
-                    lines.append(",".join(str(c) for c in astuple(row)))
-        return "\n".join(lines) + "\n"
+def format_bench(rows, timeouts, variants, ns, repeats, fmt, paper=False):
+    env = _environment()
+    # table order first, then the other variants as given
+    rank = {name: i for i, name in enumerate((*TABLE1_ORDER, *TABLE3_ORDER))}
+    labels = list(dict.fromkeys(v.label for v in sorted(
+        variants, key=lambda v: rank.get(v.name, len(rank)))))
+    if fmt != "md":
+        if fmt == "csv":
+            by_cell = {row[:2]: row for row in rows}
+            rows = [by_cell.get((label, n), (label, n, "", "-"))
+                    for n in ns for label in labels]
+        return format_rows(fmt, CSV_COLUMNS, {
+            "environment": env, "repeats": repeats, "rows": rows,
+            "timeouts": sorted(map(list, timeouts))}, "rows")
     # markdown pivot shaped like the results tables
-    head = ["n"] + [labels[name] for name in names]
+    show = paper_time if paper else (lambda wall: "%.1f" % (wall / 1e6))
+    cell = {row[:2]: show(row[3]) for row in rows}
+    head = ["n", *labels]
     lines = ["<!-- %s; median of %d runs, ms%s -->"
-             % (report.environment, report.repeats,
-                " (paper format)" if paper else "")]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    for n in ns:
-        cells = [str(n)]
-        for name in names:
-            row = by_cell.get((labels[name], n))
-            cells.append(_format_cell(None if row is None else row.wall_ns,
-                                      paper))
-        lines.append("| " + " | ".join(cells) + " |")
+             % (env, repeats, " (paper format)" if paper else ""),
+             "| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
+    lines += ["| %d | %s |" % (n, " | ".join(cell.get((label, n), "-")
+                                             for label in labels))
+              for n in ns]
     return "\n".join(lines) + "\n"
 
 
@@ -334,20 +294,21 @@ def cmd_bench(args):
             raise UsageError("--layers takes --format and --repeats only")
         sys.stdout.write(format_layers(run_layers(args.repeats), args.format))
         return EXIT_OK
+    timeout_s = 60.0 if args.timeout is None else args.timeout
+    if not 0 < timeout_s < inf:
+        raise UsageError("--timeout must be positive and finite (seconds)")
     variants = _variant_list(args, default=[*TABLE1_ORDER, *TABLE3_ORDER])
     exponents = "14..16" if args.exponents is None else args.exponents
     ns = [1 << e for e in _parse_exponents(exponents)]
-    report = run_bench(variants, ns, repeats=args.repeats,
-                       timeout_s=60.0 if args.timeout is None else args.timeout)
-    sys.stdout.write(format_bench(report, variants, ns, args.format,
-                                  paper=args.paper_format))
+    rows, timeouts = run_bench(variants, ns, args.repeats, timeout_s)
+    sys.stdout.write(format_bench(rows, timeouts, variants, ns, args.repeats,
+                                  args.format, paper=args.paper_format))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # layer benchmark
 
-LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
 _LAYER_N = 1 << 16
 _FOLD_LEVELS = 64
 
@@ -368,37 +329,34 @@ LAYERS = (
 
 
 def run_layers(repeats):
-    """(layer, elements, ns per element) rows: the median over `repeats`
-    uninstrumented drains of each layer's stream, after one warm-up, over
-    the elements one counted drain pulls."""
+    """`LAYER_COLUMNS` rows: the median over `repeats` uninstrumented drains
+    of each layer's stream, after one warm-up, over the elements one
+    counted drain pulls."""
     rows = []
     for name, make in LAYERS:
         counters = RunCounters()
         deque(make(counters), maxlen=0)
-        walls = []
-        for _ in range(repeats + 1):
+
+        def drain():
             stream = make(None)
             started = time.perf_counter_ns()
             deque(stream, maxlen=0)
-            walls.append(time.perf_counter_ns() - started)
-        elements = counters.comparisons
-        rows.append((name, elements,
-                     round(statistics.median(walls[1:]) / elements, 1)))
+            return None, time.perf_counter_ns() - started
+
+        _, wall = median_wall(drain, repeats)
+        rows.append((name, counters.comparisons,
+                     round(wall / counters.comparisons, 1)))
     return rows
 
 
 def format_layers(rows, fmt):
     env = _environment()
-    if fmt == "json":
-        return json.dumps({"environment": env, "layers": [
-            dict(zip(LAYER_COLUMNS, row)) for row in rows]}, indent=2) + "\n"
-    if fmt == "csv":
-        lines = [",".join(LAYER_COLUMNS)]
-        lines += [",".join(map(str, row)) for row in rows]
-    else:
-        lines = ["<!-- %s -->" % env, "| layer | elements | ns/element |",
-                 "|---|---|---|"]
-        lines += ["| %s | %d | %.1f |" % row for row in rows]
+    if fmt != "md":
+        return format_rows(fmt, LAYER_COLUMNS,
+                           {"environment": env, "layers": rows}, "layers")
+    lines = ["<!-- %s -->" % env, "| layer | elements | ns/element |",
+             "|---|---|---|"]
+    lines += ["| %s | %d | %.1f |" % row for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -477,8 +435,8 @@ def _check_single_generation(variant, bound):
 
 def _check_pq_shape(variant, n):
     counters = RunCounters()
-    stats = run_to_nth(variant, n, counters=counters)
-    expect = len(oracle.primes_up_to(isqrt(stats.nth_prime)))
+    p_n, _ = run_to_nth(variant, n, counters=counters)
+    expect = len(oracle.primes_up_to(isqrt(p_n)))
     if variant.wheel:
         expect -= 4
     if abs(counters.pq_size - expect) > 1:
@@ -525,6 +483,10 @@ def run_verify(variants, n, bound, out=None):
 
 def cmd_verify(args):
     variants = _variant_list(args, default=list(ALL_VARIANTS))
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
+    if args.bound < 2:
+        raise UsageError("--bound must be >= 2")
     failures = run_verify(variants, args.n, args.bound)
     if failures:
         print("%d check(s) failed" % failures, file=sys.stderr)
@@ -589,9 +551,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

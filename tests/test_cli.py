@@ -1,7 +1,10 @@
+import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,9 +215,28 @@ def test_closed_stdout_ends_quietly(argv):
     (("bench", "--algo", "td", "--n", "64"), "unrecognized arguments"),
     (("nth", "--algo", "w", "--wheel", "4", "--n", "100"),
      "unrecognized arguments"),
+    (("verify", "--algo", "on", "--n", "0"), "--n must be >= 1"),
+    (("verify", "--algo", "on", "--n", "-3"), "--n must be >= 1"),
+    (("verify", "--algo", "on", "--n", "100", "--bound", "0"),
+     "--bound must be >= 2"),
+    (("verify", "--algo", "on", "--n", "100", "--bound", "-7"),
+     "--bound must be >= 2"),
+    (("bench", "--algo", "td", "--timeout", "nan"),
+     "--timeout must be positive and finite"),
+    (("bench", "--algo", "td", "--timeout", "inf"),
+     "--timeout must be positive and finite"),
+    (("bench", "--algo", "td", "--timeout", "0"),
+     "--timeout must be positive and finite"),
+    (("bench", "--algo", "td", "--timeout", "-1"),
+     "--timeout must be positive and finite"),
+    (("bench", "--algo", "td", "--exponents", ""), "bad exponent spec ''"),
+    (("bench", "--algo", "td", "--exponents", ","), "bad exponent spec ','"),
 ], ids=["zero-repeats", "negative-repeats", "negative-exponent",
         "garbled-exponents", "negative-list-n", "nth-bound", "count-n",
-        "stats-n", "bench-bound", "bench-n", "nth-wheel"])
+        "stats-n", "bench-bound", "bench-n", "nth-wheel", "verify-zero-n",
+        "verify-negative-n", "verify-zero-bound", "verify-negative-bound",
+        "nan-timeout", "infinite-timeout", "zero-timeout",
+        "negative-timeout", "empty-exponents", "comma-exponents"])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1 and message in err
@@ -332,3 +354,65 @@ def test_bench_layers_json(capsys):
 def test_bench_layers_takes_format_and_repeats_only(capsys, extra):
     code, _, err = run(capsys, "bench", "--layers", *extra)
     assert code == 1 and "--layers takes --format and --repeats only" in err
+
+
+# `bench` and `bench --layers` output under a clock that reads one second
+# later at each call: each n = 32 run reads 2 s (its start, its deadline
+# check, its end), each n = 4096 run passes the 1.5 s deadline at its
+# second check, and each layer drain reads 1 s
+PINNED_BENCH = ("bench", "--algo", "naive-w,es,td", "--exponents", "5,12",
+                "--repeats", "2", "--timeout", "1.5")
+PINNED_LAYERS = ("bench", "--layers", "--repeats", "2")
+PINNED_ENV = "Linux-test / Python 3.x"
+PINNED_ROWS = [("NAIVE_W", 32, 131, 2_000_000_000),
+               ("ES", 32, 131, 2_000_000_000),
+               ("TD", 32, 131, 2_000_000_000)]
+PINNED_LAYER_ROWS = [("merge", 131072, 7629.4), ("difference", 196608, 5086.3),
+                     ("fold", 605616, 1651.2)]
+PINNED_OUTPUT = {
+    "md": (
+        "<!-- Linux-test / Python 3.x; median of 2 runs, ms -->\n"
+        "| n | TD | ES | NAIVE_W |\n"
+        "|---|---|---|---|\n"
+        "| 32 | 2000.0 | 2000.0 | 2000.0 |\n"
+        "| 4096 | - | - | - |\n",
+        "<!-- Linux-test / Python 3.x -->\n"
+        "| layer | elements | ns/element |\n"
+        "|---|---|---|\n"
+        "| merge | 131072 | 7629.4 |\n"
+        "| difference | 196608 | 5086.3 |\n"
+        "| fold | 605616 | 1651.2 |\n"),
+    "csv": (
+        "variant,n,p_n,wall_ns\n"
+        "TD,32,131,2000000000\n"
+        "ES,32,131,2000000000\n"
+        "NAIVE_W,32,131,2000000000\n"
+        "TD,4096,,-\n"
+        "ES,4096,,-\n"
+        "NAIVE_W,4096,,-\n",
+        "layer,elements,ns_per_element\n"
+        "merge,131072,7629.4\n"
+        "difference,196608,5086.3\n"
+        "fold,605616,1651.2\n"),
+    "json": (
+        json.dumps({
+            "environment": PINNED_ENV, "repeats": 2,
+            "rows": [dict(zip(("variant", "n", "p_n", "wall_ns"), row))
+                     for row in PINNED_ROWS],
+            "timeouts": [["es", 4096], ["naive-w", 4096], ["td", 4096]],
+        }, indent=2) + "\n",
+        json.dumps({"environment": PINNED_ENV, "layers": [
+            dict(zip(("layer", "elements", "ns_per_element"), row))
+            for row in PINNED_LAYER_ROWS]}, indent=2) + "\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_bench_output_is_pinned(capsys, monkeypatch, fmt):
+    ticks = itertools.count(0, 10**9)
+    monkeypatch.setattr(time, "perf_counter_ns", lambda: next(ticks))
+    monkeypatch.setattr(platform, "platform", lambda: "Linux-test")
+    monkeypatch.setattr(platform, "python_version", lambda: "3.x")
+    for argv, want in zip((PINNED_BENCH, PINNED_LAYERS), PINNED_OUTPUT[fmt]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out == want
