@@ -232,7 +232,7 @@ def _variant_list(args, default):
         names = [s.strip().lower() for s in args.algo.split(",")]
         if not any(names):
             raise UsageError("empty variant list")
-    return [resolve_variant(name) for name in names]
+    return [resolve_variant(name) for name in dict.fromkeys(names)]
 
 
 def run_bench(variants, ns, repeats, timeout_s):

@@ -12,9 +12,12 @@ three-way merge, which rebuilds a number once per ordered factorization.
 `fix_stream` knot: a disjoint `fold_union_p` tree of the levels, so a
 composite whose least factor is P's k-th prime crosses about 2*log2(k)
 merge frames. Level x reads C back through a C-level filter, gcd(c, m) ==
-1 with m the product of P's primes below x, so composites carry no tag,
-and neither the filter nor the scaling adds a Python frame (`comparisons`
-does not count the filter's scans). A level opens only when its square
+1 with m the product of P's primes below x, so composites carry no tag.
+The filter passes C's elements below x*x by one comparison, not a gcd
+(`dropwhile` on both its readers): such an element has two or more prime
+factors from P, so one of them is below x, and the gcd would reject it.
+Neither the skip, the filter nor the scaling adds a Python frame
+(`comparisons` counts none of them). A level opens only when its square
 comes due, and puts the square out before it reads C, so the knot is
 productive: once x*c is out, the next composite the level needs is at
 most x*c. Level x reads C from x*x up to v/x while the knot is at v. Its
@@ -28,7 +31,8 @@ The multiplicative closure of the generators, `hamming_stream`, is the
 generators `d_union` their composites: disjoint again, for primes.
 """
 
-from itertools import chain, compress, islice, repeat, takewhile, tee
+from itertools import (chain, compress, dropwhile, islice, repeat, takewhile,
+                       tee)
 from math import gcd
 from operator import eq, mul
 
@@ -74,8 +78,9 @@ def _levels(primes, selector, counters):
             raise OverflowError("%d**2 exceeds 64 bits" % x)
         above, primes = tee(primes)
         data, selector = selector.__copy__(), selector.__copy__()
-        coprime = map(eq, map(gcd, selector, repeat(below)), repeat(1))
-        rough = compress(data, coprime)
+        coprime = map(eq, map(gcd, dropwhile(xx.__gt__, selector),
+                              repeat(below)), repeat(1))
+        rough = compress(dropwhile(xx.__gt__, data), coprime)
         below *= x
         grown = map(mul, repeat(x), d_union(above, rough, counters))
         yield births(chain((xx,), takewhile(U64_MAX.__ge__, grown),

@@ -391,7 +391,7 @@ class _Fold:
     __slots__ = ("levels", "last", "disjoint", "counters")
 
     def __init__(self, streams, disjoint, counters):
-        streams = iter(streams)
+        streams = map(iter, streams)
         if counters is not None:
             streams = (_pulled(s, counters) for s in streams)
         self.levels = streams

@@ -416,3 +416,11 @@ def test_bench_output_is_pinned(capsys, monkeypatch, fmt):
     for argv, want in zip((PINNED_BENCH, PINNED_LAYERS), PINNED_OUTPUT[fmt]):
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0 and out == want
+
+
+def test_verify_runs_a_repeated_variant_once(capsys):
+    code, out, _ = run(capsys, "verify", "--algo", "es,es", "--n", "100",
+                       "--bound", "100")
+    checks = [line.split()[1] for line in out.splitlines()]
+    assert code == 0 and "es/exactly-once" in checks
+    assert len(checks) == len(set(checks))

@@ -1,10 +1,11 @@
 from itertools import islice, takewhile
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegen import oracle
+from primegen import hamming, oracle
 from primegen.hamming import composites_of_primes, hamming_stream
 from primegen.streams import RunCounters, StreamOverflow, take
 
@@ -111,3 +112,27 @@ def test_composites_past_64_bits_raise_stream_overflow():
 def test_generator_with_square_past_64_bits_is_an_overflow_error():
     with pytest.raises(OverflowError):
         take(composites_of_primes(iter([2**32 + 15])), 1)
+
+
+def test_levels_never_filter_below_their_square(monkeypatch):
+    # an element of C below x*x has a prime factor below x, so the gcd
+    # filter of level x must never be asked about one; the second set skips
+    # primes, as the hypothesis test's sets do
+    for gens in oracle.first_primes(100), [3, 7, 11, 13, 29, 31, 37, 61]:
+        level = {}  # the product of the generators below x -> x
+        below = 1
+        for x in gens:
+            level[below] = x
+            below *= x
+        scans = []
+
+        def spy(c, below):
+            scans.append(c >= level[below] ** 2)
+            return gcd(c, below)
+
+        monkeypatch.setattr(hamming, "gcd", spy)
+        bound = 200_000
+        got = list(takewhile(bound.__ge__, composites_of_primes(iter(gens))))
+        assert got == [v for v in oracle.smooth_up_to(gens, bound)
+                       if v not in gens]
+        assert scans and all(scans)

@@ -183,6 +183,11 @@ def test_fold_union_p_single_stream():
     assert list(fold_union_p(iter([iter([3, 5, 9])]))) == [3, 5, 9]
 
 
+def test_fold_union_p_takes_iterables_without_counters():
+    streams = iter([range(4, 9, 2), range(9, 20, 3)])
+    assert take(fold_union_p(streams), 5) == [4, 6, 8, 9, 12]
+
+
 def test_fold_union_p_bird_composites_each_once():
     primes = oracle.primes_up_to(30)
     streams = iter(scaled(p, count(p)) for p in primes)
