@@ -17,7 +17,8 @@ Subcommands and the options each reads:
           desk-scale timing table at n = 2^e for each exponent e
   bench   --layers [--format md|csv|json] [--repeats 5]
           ns per element pulled into the stream kernel's merge step,
-          difference step and fold, each over fixed synthetic input
+          difference step and fold, each over fixed synthetic input,
+          and per key entering O'N's heap step sieving to 2^19
 
 A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
@@ -41,10 +42,12 @@ import statistics
 import sys
 import time
 from collections import deque
+from itertools import count, takewhile
 from math import gcd, inf, isqrt
 
 from . import ALL_VARIANTS, oracle
-from .sieves import VariantCapExceeded
+from .pq import _queued
+from .sieves import VariantCapExceeded, _multiples
 from .streams import (RunCounters, StreamError, StreamOverflow, d_union,
                       fold_union_p, s_minus, take)
 from .wheels import Wheel, next_wheel1, wheel_from_primes
@@ -238,7 +241,7 @@ def _variant_list(args, default):
 def run_bench(variants, ns, repeats, timeout_s):
     """One warm-up plus `repeats` timed runs per (variant, n) cell: a
     `CSV_COLUMNS` row per finished cell, with the median wall, and the
-    (variant name, n) of each cell that timed out or hit a limit."""
+    (variant label, n) of each cell that timed out or hit a limit."""
     rows, timeouts = [], set()
     for variant in variants:
         for n in ns:
@@ -248,7 +251,7 @@ def run_bench(variants, ns, repeats, timeout_s):
                     repeats)
             except (CellTimeout, VariantCapExceeded, StreamOverflow,
                     RecursionError):
-                timeouts.add((variant.name, n))
+                timeouts.add((variant.label, n))
             else:
                 rows.append((variant.label, n, p_n, int(wall)))
     return rows, timeouts
@@ -265,13 +268,15 @@ def format_bench(rows, timeouts, variants, ns, repeats, fmt, paper=False):
     labels = list(dict.fromkeys(v.label for v in sorted(
         variants, key=lambda v: rank.get(v.name, len(rank)))))
     if fmt != "md":
-        if fmt == "csv":
-            by_cell = {row[:2]: row for row in rows}
-            rows = [by_cell.get((label, n), (label, n, "", "-"))
-                    for n in ns for label in labels]
+        # csv and json list cells in table order, csv every cell
+        cells = [(label, n) for n in ns for label in labels]
+        by_cell = {row[:2]: row for row in rows}
+        rows = [by_cell.get(cell, (*cell, "", "-")) for cell in cells
+                if fmt == "csv" or cell in by_cell]
         return format_rows(fmt, CSV_COLUMNS, {
             "environment": env, "repeats": repeats, "rows": rows,
-            "timeouts": sorted(map(list, timeouts))}, "rows")
+            "timeouts": [list(cell) for cell in cells if cell in timeouts]},
+            "rows")
     # markdown pivot shaped like the results tables
     show = paper_time if paper else (lambda wall: "%.1f" % (wall / 1e6))
     cell = {row[:2]: show(row[3]) for row in rows}
@@ -311,29 +316,37 @@ def cmd_bench(args):
 
 _LAYER_N = 1 << 16
 _FOLD_LEVELS = 64
+_HEAP_BOUND = 1 << 19
 
-#: each kernel layer over fixed synthetic input: `make(counters)` builds a
-#: fresh stream, and its elements are those `counters.comparisons` counts,
-#: one per element pulled into a merge or difference loop
+#: each kernel layer over fixed input: `make(counters)` builds a fresh
+#: stream, and its elements are those the named counter counts: for the
+#: stream layers `comparisons`, one per element pulled into a merge or
+#: difference loop, for the heap `composites`, one per key entering it
 LAYERS = (
-    ("merge", lambda c: d_union(range(0, 2 * _LAYER_N, 2),
-                                range(1, 2 * _LAYER_N, 2), c)),
-    ("difference", lambda c: s_minus(range(2 * _LAYER_N),
-                                     range(0, 2 * _LAYER_N, 2), c)),
+    ("merge", "comparisons", lambda c: d_union(
+        range(0, 2 * _LAYER_N, 2), range(1, 2 * _LAYER_N, 2), c)),
+    ("difference", "comparisons", lambda c: s_minus(
+        range(2 * _LAYER_N), range(0, 2 * _LAYER_N, 2), c)),
     # the residues mod k as k levels: an element of the i-th crosses about
     # 2*log2(i) fold nodes, and each crossing counts
-    ("fold", lambda c: fold_union_p(
+    ("fold", "comparisons", lambda c: fold_union_p(
         (iter(range(i, _LAYER_N, _FOLD_LEVELS))
          for i in range(_FOLD_LEVELS, 2 * _FOLD_LEVELS)), True, c)),
+    # O'N's queue driver over count(2), Bird's levels keyed by the oracle's
+    # primes from 3 up to twice the bound's root, past the first prime whose
+    # square the bound never reaches
+    ("heap", "composites", lambda c: takewhile(_HEAP_BOUND.__gt__, _queued(
+        count(2), iter(oracle.primes_up_to(2 * isqrt(_HEAP_BOUND))[1:]),
+        _multiples(False), c))),
 )
 
 
 def run_layers(repeats):
     """`LAYER_COLUMNS` rows: the median over `repeats` uninstrumented drains
     of each layer's stream, after one warm-up, over the elements one
-    counted drain pulls."""
+    counted drain counts."""
     rows = []
-    for name, make in LAYERS:
+    for name, counted, make in LAYERS:
         counters = RunCounters()
         deque(make(counters), maxlen=0)
 
@@ -344,8 +357,8 @@ def run_layers(repeats):
             return None, time.perf_counter_ns() - started
 
         _, wall = median_wall(drain, repeats)
-        rows.append((name, counters.comparisons,
-                     round(wall / counters.comparisons, 1)))
+        elements = getattr(counters, counted)
+        rows.append((name, elements, round(wall / elements, 1)))
     return rows
 
 

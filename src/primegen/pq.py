@@ -6,11 +6,13 @@ Eratosthenes", JFP 2009, with Will Ness's postponement). The queue maps
 each base prime's next composite (the key) to the iterator of that
 prime's later composites. A candidate is prime unless it equals the
 minimum key; when it does, every entry with that key advances. The heap
-holds each entry as one int, its key and insertion index packed
-(`CompositePQ`), and the driver's own loop does the heap step. A
-candidate below both the least key and the next square costs one int
-comparison and no Python call; one equal to the least key
-`heapreplace`s every entry keyed by it.
+holds each entry as one int, its key above an index field just wide
+enough for the entries so far (`CompositePQ`), and the driver's own loop
+does the heap step. While key and field fit in 30 bits, as they do up to
+about 2**21, every item is a one-digit CPython int, so the step builds
+and compares one-digit ints. A candidate below both the least key and
+the next square costs one int comparison and no Python call; one equal
+to the least key `heapreplace`s every entry keyed by it.
 
 Base primes are postponed: the driver holds the next base prime p and
 inserts its entry, with first key p*p, only when the candidates reach
@@ -42,27 +44,35 @@ from .wheels import mount
 class CompositePQ:
     """Min-heap of base-prime entries, each keyed by its next composite.
 
-    Entry i is the int `key << 32 | i` in `heap`, and `keys[i]` iterates
+    Entry i is the int `key << shift | i` in `heap`, and `keys[i]` iterates
     its later keys in increasing order. Every heap comparison is one int
     comparison; ties on a key break on i, the insertion order, which is
-    increasing p. Fewer than 2**32 entries are ever inserted: the driver
-    inserts p only when its candidates reach p*p, which `bounded` stops
-    just past 2**64, and pi(2**32) < 2**32. The step that advances
-    entries lives in the driver's loop (`_queued`).
+    increasing p. `shift` is the fewest bits that hold the largest index,
+    so an item stays one 30-bit digit as long as its key allows. When an
+    insert needs one bit more, every item is repacked in place; the map
+    is strictly increasing, so the heap stays ordered without a heapify.
+    The step that advances entries lives in the driver's loop (`_queued`),
+    which reads `shift` again after each insert.
     """
 
-    __slots__ = ("heap", "keys")
+    __slots__ = ("heap", "keys", "shift")
 
     def __init__(self):
         self.heap = []
         self.keys = []
+        self.shift = 0
 
     def __len__(self):
         return len(self.heap)
 
     def insert(self, p, keys):
         """Add base prime p at key p*p; `keys` yields its later composites."""
-        heapq.heappush(self.heap, p * p << 32 | len(self.keys))
+        i, s = len(self.keys), self.shift
+        if i >> s:
+            mask = (1 << s) - 1
+            self.heap[:] = [it >> s << s + 1 | it & mask for it in self.heap]
+            self.shift = s = s + 1
+        heapq.heappush(self.heap, p * p << s | i)
         self.keys.append(keys)
 
 
@@ -79,7 +89,8 @@ def _postponed(w4, multiples, counters, sieve):
 def _queued(cand, feed, multiples, counters):
     # `due` is the least key or the next square q, whichever is smaller: a
     # candidate below it is prime after one comparison, and one equal to it
-    # is composite. Keys are candidates, so none is ever below c.
+    # is composite. Keys are candidates, so none is ever below c. The first
+    # candidate at or past `due` is q, so `shift` is set before it is read.
     pq = CompositePQ()
     heap, keys = pq.heap, pq.keys
     replace = heapq.heapreplace
@@ -93,23 +104,25 @@ def _queued(cand, feed, multiples, counters):
             entry = multiples(p)
             next(entry)  # p*p, the entry's first key
             pq.insert(p, entry)
+            shift = pq.shift
+            mask = (1 << shift) - 1
             if counters is not None:
                 counters.born(q)
                 counters.pq_size = len(pq)
             p = next(feed)  # an instance of an endless sieve
             q = p * p
-        # advance every entry keyed c: the items below (c + 1) << 32
-        top = (c + 1) << 32
+        # advance every entry keyed c: the items below (c + 1) << shift
+        top = (c + 1) << shift
         item = heap[0]
         while item < top:
-            i = item & 0xFFFFFFFF
+            i = item & mask
             key = next(keys[i])
-            replace(heap, key << 32 | i)
+            replace(heap, key << shift | i)
             if counters is not None:
                 counters.note_pop(c)
                 counters.born(key)
             item = heap[0]
-        due = item >> 32
+        due = item >> shift
         if q < due:
             due = q
 

@@ -330,7 +330,7 @@ def test_bench_layers_csv(capsys):
     lines = out.strip().splitlines()
     assert code == 0 and lines[0] == "layer,elements,ns_per_element"
     rows = [line.split(",") for line in lines[1:]]
-    assert [row[0] for row in rows] == ["merge", "difference", "fold"]
+    assert [row[0] for row in rows] == ["merge", "difference", "fold", "heap"]
     # each input element of the merge and the difference is pulled once;
     # a fold element is pulled once per node it crosses
     n = cli._LAYER_N
@@ -345,7 +345,7 @@ def test_bench_layers_json(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["environment"]
     assert [row["layer"] for row in payload["layers"]] == [
-        "merge", "difference", "fold"]
+        "merge", "difference", "fold", "heap"]
 
 
 @pytest.mark.parametrize("extra", [
@@ -364,11 +364,11 @@ PINNED_BENCH = ("bench", "--algo", "naive-w,es,td", "--exponents", "5,12",
                 "--repeats", "2", "--timeout", "1.5")
 PINNED_LAYERS = ("bench", "--layers", "--repeats", "2")
 PINNED_ENV = "Linux-test / Python 3.x"
-PINNED_ROWS = [("NAIVE_W", 32, 131, 2_000_000_000),
+PINNED_ROWS = [("TD", 32, 131, 2_000_000_000),
                ("ES", 32, 131, 2_000_000_000),
-               ("TD", 32, 131, 2_000_000_000)]
+               ("NAIVE_W", 32, 131, 2_000_000_000)]
 PINNED_LAYER_ROWS = [("merge", 131072, 7629.4), ("difference", 196608, 5086.3),
-                     ("fold", 605616, 1651.2)]
+                     ("fold", 605616, 1651.2), ("heap", 1086309, 920.5)]
 PINNED_OUTPUT = {
     "md": (
         "<!-- Linux-test / Python 3.x; median of 2 runs, ms -->\n"
@@ -381,7 +381,8 @@ PINNED_OUTPUT = {
         "|---|---|---|\n"
         "| merge | 131072 | 7629.4 |\n"
         "| difference | 196608 | 5086.3 |\n"
-        "| fold | 605616 | 1651.2 |\n"),
+        "| fold | 605616 | 1651.2 |\n"
+        "| heap | 1086309 | 920.5 |\n"),
     "csv": (
         "variant,n,p_n,wall_ns\n"
         "TD,32,131,2000000000\n"
@@ -393,13 +394,14 @@ PINNED_OUTPUT = {
         "layer,elements,ns_per_element\n"
         "merge,131072,7629.4\n"
         "difference,196608,5086.3\n"
-        "fold,605616,1651.2\n"),
+        "fold,605616,1651.2\n"
+        "heap,1086309,920.5\n"),
     "json": (
         json.dumps({
             "environment": PINNED_ENV, "repeats": 2,
             "rows": [dict(zip(("variant", "n", "p_n", "wall_ns"), row))
                      for row in PINNED_ROWS],
-            "timeouts": [["es", 4096], ["naive-w", 4096], ["td", 4096]],
+            "timeouts": [["TD", 4096], ["ES", 4096], ["NAIVE_W", 4096]],
         }, indent=2) + "\n",
         json.dumps({"environment": PINNED_ENV, "layers": [
             dict(zip(("layer", "elements", "ns_per_element"), row))

@@ -1,10 +1,11 @@
+import heapq
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from collections import Counter, deque
-from itertools import islice
+from itertools import count, islice, takewhile
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegen import oracle
-from primegen.pq import PQ_VARIANTS, _queued, epq_sieve, oneill_sieve, wpq_sieve
-from primegen.sieves import STREAM_VARIANTS, es_euler, wheel_euler_w4
+from primegen.pq import (PQ_VARIANTS, CompositePQ, _queued, epq_sieve,
+                         oneill_sieve, wpq_sieve)
+from primegen.sieves import STREAM_VARIANTS, _multiples, es_euler, wheel_euler_w4
 from primegen.streams import RunCounters, take
 
 
@@ -70,6 +72,32 @@ def test_packed_heap_items_order_keys_past_63_bits():
     assert counters.popped[tie] == 2
     assert counters.pq_size == 2
     assert counters.pop_inversions == 0
+
+
+def test_repacked_heap_pops_by_key_then_insertion_order():
+    # 40 entries widen the index field at 1, 2, 4, ..., 32 entries; keys
+    # repeat, so entries tied on a key straddle each repack
+    ps = [7, 3, 5, 3, 2, 7, 5, 2, 3, 7] * 4
+    pq = CompositePQ()
+    for p in ps:
+        pq.insert(p, iter(()))
+    assert pq.shift == 6 and len(pq) == len(ps)
+    mask = (1 << pq.shift) - 1
+    got = [heapq.heappop(pq.heap) for _ in ps]
+    assert [(it >> pq.shift, it & mask) for it in got] == sorted(
+        (p * p, i) for i, p in enumerate(ps))
+
+
+def test_oneill_heap_items_fit_one_digit_at_the_benchmark_scale():
+    # O'N's driver sieving to v = 823,000 holds the 155 base primes up to
+    # 907; every item, its key above its index, stays below 2**30
+    v = 823_000
+    gen = _queued(count(2), iter(oracle.primes_up_to(1000)[1:]),
+                  _multiples(False), None)
+    assert list(takewhile(v.__gt__, gen))[-1] == oracle.primes_up_to(v)[-1]
+    heap = gen.gi_frame.f_locals["heap"]
+    assert len(heap) == oracle.prime_count(907) == 155
+    assert max(heap) < 1 << 30
 
 
 @pytest.mark.parametrize("w4", [False, True])
