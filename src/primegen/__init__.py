@@ -23,11 +23,9 @@ from .sieves import (
     es_euler,
     es_euler_w4,
     naive_euler,
-    naive_wheel_euler,
     primes_h,
     primes_h4,
     trial_division,
-    turner_sieve,
     wheel_euler,
     wheel_euler_w4,
 )
@@ -38,7 +36,6 @@ from .streams import (
     StreamFixpoint,
     StreamOverflow,
     U64_MAX,
-    circ,
     d_union,
     fix_stream,
     fold_union_p,
@@ -46,7 +43,6 @@ from .streams import (
     replay,
     s_minus,
     scaled,
-    spin,
     take,
     union,
 )
@@ -54,7 +50,6 @@ from .wheels import (
     Wheel,
     next_wheel,
     next_wheel1,
-    precomputed_w4,
     s4_stream,
     wheel_from_primes,
     wheel4,

@@ -65,9 +65,8 @@ LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
 TABLE1_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4")
 TABLE3_ORDER = ("on", "wpq", "epq", "on4", "wpq4", "epq4")
 
-EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "naive-w", "epq",
-                  "wpq", "epq4", "wpq4")
-CAPPED_LIMIT = 2_000
+EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "epq", "wpq", "epq4",
+                  "wpq4")
 
 
 class UsageError(Exception):
@@ -378,7 +377,7 @@ def format_layers(rows, fmt):
 
 
 def _check_variant_against_oracle(variant, n):
-    limit = n if variant.cap is None else min(n, CAPPED_LIMIT)
+    limit = n if variant.cap is None else min(n, variant.cap)
     expected = oracle.first_primes(limit)
     got = take(variant.factory(), limit)
     if got != expected:
@@ -580,7 +579,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (VariantCapExceeded, StreamOverflow, OverflowError,
+    except (VariantCapExceeded, OverflowError,
             RecursionError, MemoryError, CellTimeout) as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE

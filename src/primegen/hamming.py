@@ -31,8 +31,7 @@ The multiplicative closure of the generators, `hamming_stream`, is the
 generators `d_union` their composites: disjoint again, for primes.
 """
 
-from itertools import (chain, compress, dropwhile, islice, repeat, takewhile,
-                       tee)
+from itertools import chain, compress, dropwhile, repeat, takewhile, tee
 from math import gcd
 from operator import eq, mul
 
@@ -52,14 +51,14 @@ def hamming_stream(gens, counters=None):
                    composites_of_primes(products, counters), counters)
 
 
-def composites_of_primes(ps, counters=None, start=0):
+def composites_of_primes(ps, counters=None):
     """C(P): every product of two or more primes from `ps`, in order.
 
-    `ps` is the prime stream, and `start` the index of the first prime
-    used. The primes may still be under construction, as in H, where `ps`
-    is a reader of H's own knot: levels read only the primes up to v/2.
+    `ps` is the prime stream. The primes may still be under construction,
+    as in H, where `ps` is a reader of H's own knot: levels read only the
+    primes up to v/2.
     """
-    primes = islice(ps, start, None)
+    primes = iter(ps)
     return fix_stream(
         lambda c: fold_union_p(_levels(primes, c.reader(), counters), True,
                                counters),
@@ -75,7 +74,7 @@ def _levels(primes, selector, counters):
             return
         xx = x * x
         if xx > U64_MAX:
-            raise OverflowError("%d**2 exceeds 64 bits" % x)
+            raise StreamOverflow("%d**2 exceeds 64 bits" % x)
         above, primes = tee(primes)
         data, selector = selector.__copy__(), selector.__copy__()
         coprime = map(eq, map(gcd, dropwhile(xx.__gt__, selector),

@@ -4,12 +4,9 @@ Every constructor returns an iterator over the (identical) prime sequence;
 they differ only in how the composites being crossed off are generated:
 
   trial_division   divisibility tests against earlier primes (baseline)
-  turner_sieve     nested remainder filters (the "unfaithful" sieve)
   naive_euler      nested stream complementations (memory explodes)
   bird_sieve       candidates minus a union of multiples streams; each
                    composite appears once per distinct prime factor
-  naive_wheel_euler  Euler crossing-off with every wheel re-derived by
-                   trial division (pedagogical)
   wheel_euler      Euler crossing-off with incrementally grown wheels
   es_euler         Euler crossing-off by the erased/survivor induction
   primes_h         Euler crossing-off via Hamming-number recursion
@@ -19,7 +16,7 @@ yield 2, 3, 5, 7 and 11 up front, sieve s_4 and skip the first four
 crossing-off rounds. All variants share one stream kernel and one optional
 instrumentation, so measured differences reflect structure, not plumbing.
 
-The fold sieves (bird, naive wheel, W and ES) run on one driver,
+The fold sieves (bird, W and ES) run on one driver,
 `_folded`, as the queue sieves run on `pq._postponed`. Both take the same
 contract: `level(p)` returns base prime p's composites from p*p on, and is
 called once per base prime in increasing order; a level that needs state
@@ -42,8 +39,9 @@ H takes its one reader of the prime knot before its first prime goes out,
 past the mounted primes but the last, which keeps its composites inside
 the candidates; the Hamming levels split that reader with `tee`. C is one
 more knot, a tree fold of the levels, each reading C back through a gcd
-filter (see `hamming`), so H too leaves the recursion limit alone. Only
-`naive_euler`, which is capped, raises it, and only around its own pulls.
+filter (see `hamming`), so H too leaves the recursion limit alone. No
+sieve raises it: `naive_euler`, which nests a frame per prime, is capped
+below it instead.
 
 Each family defines its level once, for its fold and its queue form
 (`pq`): Bird's and O'Neill's `_multiples`, W's and WPQ's `_rolling`, and
@@ -57,7 +55,6 @@ window of them. `_folded` and `pq._postponed` bound what they emit
 (`bounded`), not the levels.
 """
 
-import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice, repeat, tee
 from operator import mul
@@ -73,12 +70,12 @@ from .streams import (
     s_minus,
     scaled,
 )
-from .wheels import WheelChain, coprime_gaps, mount, s4_gaps, wheel4
+from .wheels import WheelChain, mount, s4_gaps, wheel4
 
-DEFAULT_CAP = 10_000
-# `naive_euler` nests two frames per prime, each entered from C: at 3,000
-# primes they take about 2 MiB of the C stack (CPython 3.11)
-NAIVE_EULER_CAP = 3_000
+# `naive_euler` nests one frame per prime, two when counted: at the default
+# recursion limit of 1,000, its chain reaches 997 primes, or 499 counted
+# (CPython 3.11), so this cap leaves the caller 200 frames or more
+NAIVE_EULER_CAP = 400
 
 
 class VariantCapExceeded(StreamError):
@@ -103,50 +100,22 @@ def trial_division(counters=None):
             yield n
 
 
-def turner_sieve(cap=DEFAULT_CAP, counters=None):
-    """Nested remainder filters; every candidate runs the whole gauntlet.
-
-    (More than) quadratic in practice, so pulls are capped: asking for
-    prime cap+1 raises `VariantCapExceeded`.
-    """
-    filters = []
-    emitted = 0
-    for n in count(2):
-        for p in filters:
-            if n % p == 0:
-                break
-        else:
-            if emitted >= cap:
-                raise VariantCapExceeded(
-                    "turner_sieve is capped at %d primes" % cap)
-            emitted += 1
-            filters.append(n)
-            yield n
-
-
-# headroom above `naive_euler`'s two frames per prime of its cap
-_RECURSION_ROOM = 2_000
-
-
 def naive_euler(cap=NAIVE_EULER_CAP, counters=None):
     """Nested stream complementations: survivors minus p times survivors.
 
     Each round stacks another `minus` filter, so both time and retained
-    memory blow up; capped like `turner_sieve`. The filter chain costs two
-    stack frames per discovered prime on every pull, a `minus` and the
-    `scaled` below it, so the recursion limit is raised around each pull
-    and restored after it, and very deep caps are bounded by the C stack.
+    memory blow up, and pulls are capped: asking for prime cap+1 raises
+    `VariantCapExceeded`. A pull crosses the whole filter chain, one
+    stack frame per discovered prime (each round's `minus`; its `scaled`
+    reads back what that `minus` has already pulled), and one more with
+    `counters`, which count what each `minus` pulls. The default cap keeps
+    the chain under the default recursion limit, which it leaves alone.
     """
     cs = count(2)
     for _ in range(cap):
         a, b = tee(cs)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 2 * cap + _RECURSION_ROOM))
-        try:
-            # endless: every round leaves the primes past p in the stream
-            p = next(a)
-        finally:
-            sys.setrecursionlimit(limit)
+        # endless: every round leaves the primes past p in the stream
+        p = next(a)
         yield p
         cs = minus(a, scaled(p, b), counters)
     raise VariantCapExceeded("naive_euler is capped at %d primes" % cap)
@@ -192,24 +161,6 @@ def _multiples(w4):
         return accumulate(cycle([step[d] for d in s4_gaps(p)]), initial=p * p)
 
     return level
-
-
-def naive_wheel_euler(counters=None):
-    """Euler's sieve with every wheel rebuilt from scratch, per prime.
-
-    Kept as a baseline: each level re-derives its wheel by trial division
-    against the primes before it; the levels share one growing prefix of
-    those primes, so only the wheel is rebuilt per level.
-    """
-    prefix = []
-
-    def level(p):
-        # coprime_gaps reads its prefix lazily: hand it this level's copy
-        gaps = coprime_gaps(tuple(prefix), p)
-        prefix.append(p)
-        return accumulate(map(mul, repeat(p), gaps), initial=p * p)
-
-    return _folded(False, level, True, counters, naive_wheel_euler)
 
 
 def wheel_euler(counters=None):
@@ -338,14 +289,12 @@ STREAM_VARIANTS = {
     v.name: v
     for v in (
         Variant("td", "TD", "stream", 0, trial_division),
-        Variant("turner", "TURNER", "stream", 0, turner_sieve, DEFAULT_CAP),
         Variant("naive-euler", "NAIVE_EULER", "stream", 0, naive_euler,
                 NAIVE_EULER_CAP),
         Variant("bs", "BS", "stream", 0, bird_sieve),
         Variant("bs4", "BS4", "stream", 4, bird_sieve_w4),
         Variant("h", "H", "stream", 0, primes_h),
         Variant("h4", "H4", "stream", 4, primes_h4),
-        Variant("naive-w", "NAIVE_W", "stream", 0, naive_wheel_euler),
         Variant("w", "W", "stream", 0, wheel_euler),
         Variant("w4", "W4", "stream", 4, wheel_euler_w4),
         Variant("es", "ES", "stream", 0, es_euler),

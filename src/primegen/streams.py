@@ -4,8 +4,8 @@ Streams are plain Python iterators of weakly increasing 64-bit naturals,
 pulled one element at a time. This module provides the merge/difference
 combinators the sieves are built from (one merge loop and one difference
 loop serve them all), a productivity-preserving tree fold over a stream of
-streams, cyclic wheel rolling, and two ways to share a stream between
-readers, of which the sieves use only the first:
+streams, and two ways to share a stream between readers, of which the
+sieves use only the first:
   * `fix_stream` ties a self-referential definition ("primes defined in
     terms of primes") on an `itertools.tee`. Its readers are taken while
     the producer starts, replay in C, and the tee frees each element once
@@ -22,7 +22,7 @@ Conventions:
   * elements are unsigned 64-bit; growing past 2**64-1 raises
     `StreamOverflow` rather than wrapping. The fold and queue sieves check
     it on the primes they emit (`bounded`), H on its levels, and `scaled`
-    and `spin` on their own elements.
+    on its own elements. `StreamOverflow` is also an `OverflowError`.
 
 Nothing here touches interpreter-global state. A fold is about 2*log2(k)
 frames deep over k streams, and a knot's readers replay in C without a
@@ -30,7 +30,7 @@ frame of their own, so no combinator raises the recursion limit.
 """
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice, takewhile, tee
+from itertools import chain, islice, takewhile, tee
 
 U64_MAX = (1 << 64) - 1
 
@@ -38,7 +38,7 @@ class StreamError(Exception):
     """Base class for stream-kernel failures."""
 
 
-class StreamOverflow(StreamError):
+class StreamOverflow(StreamError, OverflowError):
     """A stream element left the unsigned 64-bit range."""
 
 
@@ -106,15 +106,6 @@ class RunCounters:
 def take(stream, n):
     """Materialize the first n elements."""
     return list(islice(stream, n))
-
-
-def nth(stream, n):
-    """1-based n-th element."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for value in islice(stream, n - 1, None):
-        return value
-    raise ValueError("stream ended before element %d" % n)
 
 
 def scaled(factor, source):
@@ -328,35 +319,6 @@ def _diff(xs, ys, subset):
                 yield x
                 yield from xs
                 return
-
-
-# ---------------------------------------------------------------------------
-# wheels as delta streams
-
-
-def circ(wheel):
-    """Endless repetition of a wheel's finite gap sequence."""
-    deltas = tuple(wheel)
-    if not deltas:
-        raise StreamError("cannot roll an empty wheel")
-    return cycle(deltas)
-
-
-def spin(deltas, start):
-    """Positions start, start+d1, start+d1+d2, ... for positive deltas.
-
-    Strictly increasing; leaving the 64-bit range raises `StreamOverflow`
-    instead of wrapping.
-    """
-    pos = start
-    if pos > U64_MAX:
-        raise StreamOverflow("spin start %d exceeds 64 bits" % pos)
-    yield pos
-    for d in deltas:
-        pos += d
-        if pos > U64_MAX:
-            raise StreamOverflow("spin position exceeds 64 bits")
-        yield pos
 
 
 # ---------------------------------------------------------------------------

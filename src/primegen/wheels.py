@@ -18,7 +18,9 @@ numbers with no prime factor up to p_k, and from p_{k+1} on, where it is
 read, every prime is one of them.
 
 `mount(w4)` is the one place a sieve learns how it is mounted: bare, or
-on the precomputed 210-wheel w_4 with the candidates s_4.
+on the precomputed 210-wheel w_4 with the candidates s_4. `s4_gaps(v)`
+is one turn of w_4 from its phase at v, for the wheeled multiples of
+Bird's and O'Neill's levels.
 """
 
 from array import array
@@ -197,11 +199,6 @@ def s4_stream():
     return accumulate(cycle(wheel4().deltas), initial=11)
 
 
-def precomputed_w4():
-    """(w_4, s_4) as mounted on the sieves."""
-    return wheel4(), s4_stream()
-
-
 def mount(w4):
     """(primes, wheel, candidates) of a sieve, bare or on the 210-wheel.
 
@@ -229,28 +226,3 @@ def s4_gaps(value):
         raise ValueError("%d shares a factor with 210" % value) from None
     deltas = wheel4().deltas
     return deltas[i:] + deltas[:i]
-
-
-def s4_from(value):
-    """The coprime-to-210 numbers from `value`, which must be one of them:
-    w_4 resumed at its phase, not respun from 11."""
-    return accumulate(cycle(s4_gaps(value)), initial=value)
-
-
-def coprime_gaps(primes_prefix, start):
-    """Endless gap scan: trial division against `primes_prefix` from `start`.
-
-    Semantically circ(w_k) rolled from `start`, but re-derived by scanning,
-    which is what the naive wheel sieve does for every prime.
-    """
-    prefix = tuple(primes_prefix)
-    prev = start
-    n = start + 1
-    while True:
-        for q in prefix:
-            if n % q == 0:
-                break
-        else:
-            yield n - prev
-            prev = n
-        n += 1

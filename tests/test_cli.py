@@ -24,7 +24,7 @@ def test_nth_first_prime(capsys):
 
 
 def test_nth_capped_variant_exceeds(capsys):
-    code, _, err = run(capsys, "nth", "--algo", "turner", "--n", "1000000")
+    code, _, err = run(capsys, "nth", "--algo", "naive-euler", "--n", "1000000")
     assert code == 2 and "capped" in err
 
 
@@ -99,16 +99,13 @@ def test_stats_deterministic_apart_from_timing(capsys):
 
 
 # composites, distinct_composites, comparisons and peak_buffer at
-# `stats --bound 20000`; every variant reads n = pulls = 2262 there
+# `stats --bound 20000`; every uncapped variant reads n = pulls = 2262 there
 STATS_AT_20000 = {
     "td": (0, 0, 0, 0),
-    "turner": (0, 0, 0, 0),
-    "naive-euler": (0, 0, 2628480, 0),
     "bs": (35485, 17737, 154118, 0),
     "bs4": (2748, 2313, 19983, 0),
     "h": (17737, 17737, 98701, 20011),
     "h4": (2313, 2313, 20294, 4579),
-    "naive-w": (17737, 17737, 80920, 0),
     "w": (17737, 17737, 80920, 1962),
     "w4": (2313, 2313, 17949, 1950),
     "es": (17737, 17737, 97391, 0),
@@ -124,7 +121,12 @@ STATS_AT_20000 = {
 
 @pytest.mark.parametrize("name", list(ALL_VARIANTS))
 def test_stats_record_is_pinned(capsys, name):
-    code, out, _ = run(capsys, "stats", "--algo", name, "--bound", "20000")
+    code, out, err = run(capsys, "stats", "--algo", name, "--bound", "20000")
+    if ALL_VARIANTS[name].cap is not None:
+        # a capped variant stops short of the bound's 2262 primes
+        assert ALL_VARIANTS[name].cap < 2262 and name not in STATS_AT_20000
+        assert code == 2 and out == "" and "capped" in err
+        return
     record = json.loads(out)
     record.pop("wall_ns")
     composites, distinct, comparisons, peak = STATS_AT_20000[name]
@@ -360,19 +362,19 @@ def test_bench_layers_takes_format_and_repeats_only(capsys, extra):
 # later at each call: each n = 32 run reads 2 s (its start, its deadline
 # check, its end), each n = 4096 run passes the 1.5 s deadline at its
 # second check, and each layer drain reads 1 s
-PINNED_BENCH = ("bench", "--algo", "naive-w,es,td", "--exponents", "5,12",
+PINNED_BENCH = ("bench", "--algo", "naive-euler,es,td", "--exponents", "5,12",
                 "--repeats", "2", "--timeout", "1.5")
 PINNED_LAYERS = ("bench", "--layers", "--repeats", "2")
 PINNED_ENV = "Linux-test / Python 3.x"
 PINNED_ROWS = [("TD", 32, 131, 2_000_000_000),
                ("ES", 32, 131, 2_000_000_000),
-               ("NAIVE_W", 32, 131, 2_000_000_000)]
+               ("NAIVE_EULER", 32, 131, 2_000_000_000)]
 PINNED_LAYER_ROWS = [("merge", 131072, 7629.4), ("difference", 196608, 5086.3),
                      ("fold", 605616, 1651.2), ("heap", 1086309, 920.5)]
 PINNED_OUTPUT = {
     "md": (
         "<!-- Linux-test / Python 3.x; median of 2 runs, ms -->\n"
-        "| n | TD | ES | NAIVE_W |\n"
+        "| n | TD | ES | NAIVE_EULER |\n"
         "|---|---|---|---|\n"
         "| 32 | 2000.0 | 2000.0 | 2000.0 |\n"
         "| 4096 | - | - | - |\n",
@@ -387,10 +389,10 @@ PINNED_OUTPUT = {
         "variant,n,p_n,wall_ns\n"
         "TD,32,131,2000000000\n"
         "ES,32,131,2000000000\n"
-        "NAIVE_W,32,131,2000000000\n"
+        "NAIVE_EULER,32,131,2000000000\n"
         "TD,4096,,-\n"
         "ES,4096,,-\n"
-        "NAIVE_W,4096,,-\n",
+        "NAIVE_EULER,4096,,-\n",
         "layer,elements,ns_per_element\n"
         "merge,131072,7629.4\n"
         "difference,196608,5086.3\n"
@@ -401,7 +403,7 @@ PINNED_OUTPUT = {
             "environment": PINNED_ENV, "repeats": 2,
             "rows": [dict(zip(("variant", "n", "p_n", "wall_ns"), row))
                      for row in PINNED_ROWS],
-            "timeouts": [["TD", 4096], ["ES", 4096], ["NAIVE_W", 4096]],
+            "timeouts": [["TD", 4096], ["ES", 4096], ["NAIVE_EULER", 4096]],
         }, indent=2) + "\n",
         json.dumps({"environment": PINNED_ENV, "layers": [
             dict(zip(("layer", "elements", "ns_per_element"), row))

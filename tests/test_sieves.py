@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primegen import oracle
+from primegen import ALL_VARIANTS, oracle
 from primegen.sieves import (
     STREAM_VARIANTS,
     VariantCapExceeded,
@@ -19,40 +19,25 @@ from primegen.sieves import (
     es_euler_w4,
     es_step,
     naive_euler,
-    naive_wheel_euler,
     primes_h,
     primes_h4,
     trial_division,
-    turner_sieve,
     wheel_euler,
     wheel_euler_w4,
 )
 from primegen.pq import PQ_VARIANTS
-from primegen.streams import RunCounters, StreamError, nth, take
+from primegen.streams import RunCounters, StreamError, take
 from test_pq import _traced_peak
 
 
 def test_trial_division_examples():
-    assert nth(trial_division(), 1) == 2
-    assert nth(trial_division(), 6) == 13
-    assert nth(trial_division(), 100) == 541
-
-
-def test_turner_examples(primes10k):
-    assert nth(turner_sieve(), 1) == 2
-    assert nth(turner_sieve(), 10) == 29
-    assert take(turner_sieve(), 2000) == primes10k[:2000]
-
-
-def test_turner_cap_is_an_error():
-    gen = turner_sieve(cap=50)
-    take(gen, 50)
-    with pytest.raises(VariantCapExceeded):
-        next(gen)
+    primes = take(trial_division(), 100)
+    assert (primes[0], primes[5], primes[99]) == (2, 13, 541)
 
 
 def test_naive_euler_matches_oracle(primes10k):
-    assert take(naive_euler(), 2000) == primes10k[:2000]
+    cap = STREAM_VARIANTS["naive-euler"].cap
+    assert take(naive_euler(), cap) == primes10k[:cap]
 
 
 def test_naive_euler_cap_is_an_error():
@@ -63,8 +48,8 @@ def test_naive_euler_cap_is_an_error():
 
 
 def test_naive_euler_reaches_its_default_cap():
-    # two frames per prime: the room it makes must cover the whole cap, in
-    # a fresh interpreter at the default recursion limit
+    # one frame per prime: the whole cap must fit, with the caller's stack,
+    # under the default recursion limit of a fresh interpreter
     script = textwrap.dedent("""
         from primegen import oracle
         from primegen.sieves import STREAM_VARIANTS, VariantCapExceeded
@@ -83,14 +68,23 @@ def test_naive_euler_reaches_its_default_cap():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["capped", "at", "3000"]
+    assert proc.stdout.split() == ["capped", "at", "400"]
 
 
 def test_naive_euler_leaves_the_recursion_limit_alone():
-    # the limit is raised only around its own pulls
     limit = sys.getrecursionlimit()
     assert list(islice(naive_euler(), 10)) == oracle.first_primes(10)
     assert sys.getrecursionlimit() == limit
+
+
+def test_no_variant_touches_the_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("a sieve set the recursion limit to %d" % limit)
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    for name, variant in ALL_VARIANTS.items():
+        n = min(variant.cap or 1000, 1000)
+        assert take(variant.factory(), n) == oracle.first_primes(n), name
 
 
 def test_bird_sieve_first_10k(primes10k):
@@ -127,20 +121,6 @@ def test_bird_w4_multiplicities_match_bruteforce():
         want = sum(1 for p in primes
                    if p >= 11 and c % p == 0 and c // p >= p and c // p in survivors)
         assert tally[c] == want
-
-
-def test_naive_wheel_euler_first_1000(primes10k):
-    assert take(naive_wheel_euler(), 1000) == primes10k[:1000]
-
-
-def test_naive_wheel_erased_heads():
-    counters = RunCounters.with_tally()
-    for p in naive_wheel_euler(counters):
-        if p > 30:
-            break
-    tally = counters.tally
-    # second and third rounds first erase their prime's square
-    assert 9 in tally and 25 in tally
 
 
 def test_wheel_euler_first_10k(primes10k):
@@ -226,8 +206,7 @@ def test_wheel_euler_single_generation():
 
 def test_registry_names():
     assert set(STREAM_VARIANTS) == {
-        "td", "turner", "naive-euler", "bs", "bs4", "h", "h4",
-        "naive-w", "w", "w4", "es", "es4",
+        "td", "naive-euler", "bs", "bs4", "h", "h4", "w", "w4", "es", "es4",
     }
     for variant in STREAM_VARIANTS.values():
         assert take(variant.factory(), 5) == [2, 3, 5, 7, 11]
@@ -238,12 +217,12 @@ def test_registry_names():
 @example(1500)
 @settings(max_examples=12, deadline=None)
 def test_every_stream_variant_matches_oracle_prefix(n):
-    expect = oracle.first_primes(n)
     for name, variant in STREAM_VARIANTS.items():
-        assert take(variant.factory(), n) == expect, name
+        m = min(n, variant.cap or n)
+        assert take(variant.factory(), m) == oracle.first_primes(m), name
 
 
-@pytest.mark.parametrize("name", ["bs", "bs4", "naive-w"])
+@pytest.mark.parametrize("name", ["bs", "bs4"])
 def test_fold_sieve_state_grows_slowly(name):
     # base primes come from an inner instance, so no prime memo grows like n
     small, large = (_traced_peak(STREAM_VARIANTS[name], n) for n in (2**12, 2**14))
@@ -331,7 +310,7 @@ def test_stream_variants_survive_a_low_caller_recursion_limit():
     assert proc.stdout.split() == uncapped
 
 
-FOLD_VARIANTS = ["bs", "bs4", "naive-w", "w", "w4", "es", "es4"]
+FOLD_VARIANTS = ["bs", "bs4", "w", "w4", "es", "es4"]
 
 
 def test_fold_variants_leave_the_recursion_limit_alone():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegen import oracle
+from primegen.hamming import composites_of_primes
 from primegen.streams import (
     NonProductiveStream,
     RunCounters,
@@ -19,7 +20,6 @@ from primegen.streams import (
     StreamOverflow,
     U64_MAX,
     bounded,
-    circ,
     d_union,
     fix_stream,
     fold_union_p,
@@ -27,7 +27,6 @@ from primegen.streams import (
     replay,
     s_minus,
     scaled,
-    spin,
     take,
     union,
 )
@@ -136,27 +135,16 @@ def test_head_first_union_of_empty_passes_right_through(disjoint, ys):
     assert list(fold_union_p((iter([]), iter(ys)), disjoint)) == ys
 
 
-def test_circ_examples():
-    assert take(circ([2, 4]), 5) == [2, 4, 2, 4, 2]
-    assert take(circ([1]), 3) == [1, 1, 1]
-    with pytest.raises(Exception):
-        circ([])
-
-
-def test_spin_examples():
-    assert take(spin(circ([2, 4]), 5), 6) == [5, 7, 11, 13, 17, 19]
-    assert take(spin(circ([1]), 2), 4) == [2, 3, 4, 5]
-
-
-def test_spin_overflow_is_an_error():
-    deltas = iter([1, 1])
-    with pytest.raises(StreamOverflow):
-        list(spin(deltas, U64_MAX - 1))
-
-
 def test_scaled_overflow_is_an_error():
     with pytest.raises(StreamOverflow):
         list(scaled(3, iter([1, U64_MAX // 2])))
+
+
+def test_square_past_64_bits_is_a_stream_error():
+    # H's levels square their prime first; a caller that catches the
+    # kernel's errors catches that overflow too
+    with pytest.raises(StreamError, match="exceeds 64 bits"):
+        take(composites_of_primes(iter([2**32 + 15])), 1)
 
 
 def test_bounded_raises_past_64_bits():

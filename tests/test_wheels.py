@@ -1,18 +1,17 @@
+from itertools import accumulate, count, cycle, pairwise
 from math import gcd
 
 import pytest
 
 from primegen import oracle
-from primegen.streams import RunCounters, StreamError, StreamOverflow, circ, spin, take
+from primegen.streams import RunCounters, StreamError, StreamOverflow, take
 from primegen.wheels import (
     Wheel,
     WheelChain,
-    coprime_gaps,
     mount,
     next_wheel,
     next_wheel1,
-    precomputed_w4,
-    s4_from,
+    s4_gaps,
     s4_stream,
     wheel_from_primes,
     wheel4,
@@ -99,7 +98,7 @@ def test_spin_enumerates_coprime_survivors(k):
     circumference = oracle.primorial(k)
     bound = 100_000
     got = []
-    for v in spin(circ(w), p):
+    for v in accumulate(cycle(w), initial=p):
         if v > bound:
             break
         got.append(v)
@@ -108,7 +107,7 @@ def test_spin_enumerates_coprime_survivors(k):
 
 
 def test_precomputed_w4():
-    w, s4 = precomputed_w4()
+    w, s4 = wheel4(), s4_stream()
     assert len(w.deltas) == 48 and sum(w.deltas) == 210
     assert take(s4, 27) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                             59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103,
@@ -130,19 +129,14 @@ def test_w4_is_cached_object():
     assert wheel4() is wheel4()
 
 
-def test_s4_from_resumes_phase():
-    tail = take(s4_from(13), 6)
-    assert tail == [13, 17, 19, 23, 29, 31]
-    assert take(s4_from(121), 3) == [121, 127, 131]
+def test_s4_gaps_resume_the_phase():
+    # w_4 resumed at the phase of its start, as the wheeled multiples step
+    assert take(accumulate(cycle(s4_gaps(13)), initial=13), 6) == [
+        13, 17, 19, 23, 29, 31]
+    assert take(accumulate(cycle(s4_gaps(121)), initial=121), 3) == [
+        121, 127, 131]
     with pytest.raises(ValueError):
-        s4_from(14)
-
-
-def test_coprime_gaps_match_wheel():
-    w = wheel_from_primes([2, 3, 5], 7)
-    scanned = take(coprime_gaps((2, 3, 5), 7), 16)
-    assert tuple(scanned[:8]) == w.deltas
-    assert tuple(scanned[8:]) == w.deltas  # scan keeps rolling past one turn
+        s4_gaps(14)
 
 
 def test_wheel_chain_matches_eager_wheels_up_to_seven():
@@ -163,8 +157,15 @@ def test_wheel_chain_matches_scan_from_eight_to_eleven():
     wheels = WheelChain(wheel4())
     rolls = [wheels.turn(p) for p in primes[4:]]
     for k in range(11, 7, -1):
-        scan = coprime_gaps(primes[:k], primes[k])
+        scan = _scanned_gaps(primes[:k], primes[k])
         assert take(rolls[k - 4], 3000) == take(scan, 3000)
+
+
+def _scanned_gaps(prefix, start):
+    # the gaps between the numbers from `start` with no factor in `prefix`,
+    # found by trial division
+    kept = (n for n in count(start) if all(n % q for q in prefix))
+    return (b - a for a, b in pairwise(kept))
 
 
 def test_wheel_chain_opens_wheels_unread():
