@@ -14,8 +14,9 @@ Subcommands and the options each reads:
           erased/survivor induction, exactly-once tallies, queue shape)
   bench   [--algo A,B,...] [--exponents 14..16] [--format md|csv|json]
           [--repeats 5] [--timeout 60] [--paper-format]
-          desk-scale timing table at n = 2^e for each exponent e
-  bench   --layers [--format md|csv|json] [--repeats 5]
+          desk-scale timing table at n = 2^e for each exponent e, by
+          default of every variant of the two tables, in table order
+  layers  [--format md|csv|json] [--repeats 5]
           ns per element pulled into the stream kernel's merge step,
           difference step and fold, each over fixed synthetic input,
           and per key entering O'N's heap step sieving to 2^19
@@ -24,8 +25,8 @@ A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
 Bad input is a usage error, raised before any run or check: `nth` and
 `verify` need --n >= 1 (`list` >= 0) and `verify` --bound >= 2; `bench`
-needs --repeats >= 1, a positive, finite --timeout and at least one
-exponent, none negative.
+and `layers` need --repeats >= 1, and `bench` a positive, finite
+--timeout and at least one exponent, none negative.
 
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
@@ -42,12 +43,12 @@ import statistics
 import sys
 import time
 from collections import deque
-from itertools import count, takewhile
+from itertools import count, islice, takewhile
 from math import gcd, inf, isqrt
 
 from . import ALL_VARIANTS, oracle
 from .pq import _queued
-from .sieves import VariantCapExceeded, _multiples
+from .sieves import VariantCapExceeded, _erasing, _multiples
 from .streams import (RunCounters, StreamError, StreamOverflow, d_union,
                       fold_union_p, s_minus, take)
 from .wheels import Wheel, next_wheel1, wheel_from_primes
@@ -57,7 +58,7 @@ EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
-#: what one row of `bench` and of `bench --layers` holds, in order
+#: what one row of `bench` and of `layers` holds, in order
 CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns")
 LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
 
@@ -239,74 +240,61 @@ def _variant_list(args, default):
 
 def run_bench(variants, ns, repeats, timeout_s):
     """One warm-up plus `repeats` timed runs per (variant, n) cell: a
-    `CSV_COLUMNS` row per finished cell, with the median wall, and the
-    (variant label, n) of each cell that timed out or hit a limit."""
-    rows, timeouts = [], set()
-    for variant in variants:
-        for n in ns:
+    `CSV_COLUMNS` row per cell, n by n and variants in the given order,
+    with the median wall, or with ("", "-") if the cell timed out or hit
+    a limit."""
+    rows = []
+    for n in ns:
+        for variant in variants:
             try:
                 p_n, wall = median_wall(
                     lambda: run_to_nth(variant, n, timeout_s=timeout_s),
                     repeats)
             except (CellTimeout, VariantCapExceeded, StreamOverflow,
                     RecursionError):
-                timeouts.add((variant.label, n))
+                rows.append((variant.label, n, "", "-"))
             else:
                 rows.append((variant.label, n, p_n, int(wall)))
-    return rows, timeouts
+    return rows
 
 
 def _environment():
     return "%s / Python %s" % (platform.platform(), platform.python_version())
 
 
-def format_bench(rows, timeouts, variants, ns, repeats, fmt, paper=False):
+def format_bench(rows, labels, ns, repeats, fmt, paper=False):
+    """`run_bench`'s rows for the variants `labels`: csv lists every cell,
+    json the finished cells as rows and the others as timeouts, and md
+    pivots them into one line per n, shaped like the results tables."""
     env = _environment()
-    # table order first, then the other variants as given
-    rank = {name: i for i, name in enumerate((*TABLE1_ORDER, *TABLE3_ORDER))}
-    labels = list(dict.fromkeys(v.label for v in sorted(
-        variants, key=lambda v: rank.get(v.name, len(rank)))))
     if fmt != "md":
-        # csv and json list cells in table order, csv every cell
-        cells = [(label, n) for n in ns for label in labels]
-        by_cell = {row[:2]: row for row in rows}
-        rows = [by_cell.get(cell, (*cell, "", "-")) for cell in cells
-                if fmt == "csv" or cell in by_cell]
         return format_rows(fmt, CSV_COLUMNS, {
-            "environment": env, "repeats": repeats, "rows": rows,
-            "timeouts": [list(cell) for cell in cells if cell in timeouts]},
+            "environment": env, "repeats": repeats,
+            "rows": [row for row in rows if fmt == "csv" or row[3] != "-"],
+            "timeouts": [list(row[:2]) for row in rows if row[3] == "-"]},
             "rows")
-    # markdown pivot shaped like the results tables
     show = paper_time if paper else (lambda wall: "%.1f" % (wall / 1e6))
-    cell = {row[:2]: show(row[3]) for row in rows}
+    cells = iter(["-" if wall == "-" else show(wall) for *_, wall in rows])
     head = ["n", *labels]
     lines = ["<!-- %s; median of %d runs, ms%s -->"
              % (env, repeats, " (paper format)" if paper else ""),
              "| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
-    lines += ["| %d | %s |" % (n, " | ".join(cell.get((label, n), "-")
-                                             for label in labels))
+    lines += ["| %d | %s |" % (n, " | ".join(islice(cells, len(labels))))
               for n in ns]
     return "\n".join(lines) + "\n"
 
 
 def cmd_bench(args):
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    if args.layers:
-        if (args.algo, args.exponents, args.timeout) != (None,) * 3 or \
-                args.paper_format:
-            raise UsageError("--layers takes --format and --repeats only")
-        sys.stdout.write(format_layers(run_layers(args.repeats), args.format))
-        return EXIT_OK
-    timeout_s = 60.0 if args.timeout is None else args.timeout
-    if not 0 < timeout_s < inf:
+    if not 0 < args.timeout < inf:
         raise UsageError("--timeout must be positive and finite (seconds)")
-    variants = _variant_list(args, default=[*TABLE1_ORDER, *TABLE3_ORDER])
-    exponents = "14..16" if args.exponents is None else args.exponents
-    ns = [1 << e for e in _parse_exponents(exponents)]
-    rows, timeouts = run_bench(variants, ns, args.repeats, timeout_s)
-    sys.stdout.write(format_bench(rows, timeouts, variants, ns, args.repeats,
-                                  args.format, paper=args.paper_format))
+    # table order first, then the other variants as given
+    rank = {name: i for i, name in enumerate((*TABLE1_ORDER, *TABLE3_ORDER))}
+    variants = sorted(_variant_list(args, default=rank),
+                      key=lambda v: rank.get(v.name, len(rank)))
+    ns = [1 << e for e in _parse_exponents(args.exponents)]
+    rows = run_bench(variants, ns, args.repeats, args.timeout)
+    sys.stdout.write(format_bench(rows, [v.label for v in variants], ns,
+                                  args.repeats, args.format, args.paper_format))
     return EXIT_OK
 
 
@@ -338,6 +326,11 @@ LAYERS = (
         count(2), iter(oracle.primes_up_to(2 * isqrt(_HEAP_BOUND))[1:]),
         _multiples(False), c))),
 )
+
+
+def cmd_layers(args):
+    sys.stdout.write(format_layers(run_layers(args.repeats), args.format))
+    return EXIT_OK
 
 
 def run_layers(repeats):
@@ -407,8 +400,6 @@ def _check_wheels():
 
 
 def _check_euler_sets(bound):
-    from .sieves import _erasing
-
     # ES's own levels, for as many of the first 10 primes as the bound holds
     primes = [p for p in oracle.first_primes(10) if p <= bound]
     level = _erasing(False, None)
@@ -448,21 +439,19 @@ def _check_single_generation(variant, bound):
 def _check_pq_shape(variant, n):
     counters = RunCounters()
     p_n, _ = run_to_nth(variant, n, counters=counters)
-    expect = len(oracle.primes_up_to(isqrt(p_n)))
-    if variant.wheel:
-        expect -= 4
-    if abs(counters.pq_size - expect) > 1:
+    # one entry per base prime whose square the candidates have reached,
+    # from the first prime past the wheel's
+    first = 11 if variant.wheel else 2
+    expect = sum(p >= first for p in oracle.primes_up_to(isqrt(p_n)))
+    if counters.pq_size != expect:
         raise CheckFailure(
-            "%s queue holds %d entries after p_%d, expected about %d"
+            "%s queue holds %d entries after p_%d, expected %d"
             % (variant.label, counters.pq_size, n, expect))
-    if counters.pop_inversions:
-        raise CheckFailure("%s popped keys out of order" % variant.label)
-    return "queue size %d ~ pi(sqrt(p_n)) and pops weakly increasing" % (
-        counters.pq_size)
+    return "queue holds the %d primes from %d to sqrt(p_n)" % (expect, first)
 
 
-def run_verify(variants, n, bound, out=None):
-    out = out or sys.stdout
+def run_verify(variants, n, bound):
+    out = sys.stdout
     checks = []
     for variant in variants:
         checks.append(("%s/oracle" % variant.name,
@@ -515,6 +504,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def repeat_count(text):
+    """--repeats of `bench` and `layers`, checked as it is parsed."""
+    if int(text) < 1:
+        raise UsageError("--repeats must be >= 1")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="primegen", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -548,17 +544,20 @@ def build_parser():
     p.add_argument("--bound", type=int, default=10_000)
 
     p = command("bench", cmd_bench, "desk-scale timing table", algo_list=True)
-    p.add_argument("--exponents",
+    p.add_argument("--exponents", default="14..16",
                    help="powers of two to target, e.g. 16..20 or 14,18 "
                         "(default 14..16)")
     p.add_argument("--format", choices=("csv", "md", "json"), default="md")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--timeout", type=float,
+    p.add_argument("--repeats", type=repeat_count, default=5)
+    p.add_argument("--timeout", type=float, default=60.0,
                    help="per-run cell timeout in seconds (default 60)")
-    p.add_argument("--layers", action="store_true",
-                   help="time the kernel layers instead of the variants")
     p.add_argument("--paper-format", action="store_true",
                    help="print cells as minute'second^tenth")
+
+    p = sub.add_parser("layers", help="kernel layer timing table")
+    p.set_defaults(fn=cmd_layers)
+    p.add_argument("--format", choices=("csv", "md", "json"), default="md")
+    p.add_argument("--repeats", type=repeat_count, default=5)
     return parser
 
 
@@ -586,7 +585,3 @@ def main(argv=None):
     except StreamError as exc:
         print("stream error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

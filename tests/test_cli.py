@@ -168,6 +168,20 @@ def test_verify_pq_variant_gets_queue_check(capsys):
     assert code == 0 and "PASS wpq/queue" in out
 
 
+def test_queue_shape_is_exact_at_small_n():
+    # below 11**2 on the wheel and 2**2 bare, the queue is empty
+    for variant in ALL_VARIANTS.values():
+        if variant.family == "pq":
+            for n in range(1, 41):
+                cli._check_pq_shape(variant, n)
+
+
+def test_verify_queue_check_before_the_first_wheel_square(capsys):
+    code, out, _ = run(capsys, "verify", "--algo", "on4", "--n", "5",
+                       "--bound", "100")
+    assert code == 0 and "PASS on4/queue" in out
+
+
 def test_verify_queue_variants_without_asserts():
     # under -O the subset assert of `s_minus` that EPQ's levels run through
     # is gone; the checks must still pass on the code that remains
@@ -233,12 +247,19 @@ def test_closed_stdout_ends_quietly(argv):
      "--timeout must be positive and finite"),
     (("bench", "--algo", "td", "--exponents", ""), "bad exponent spec ''"),
     (("bench", "--algo", "td", "--exponents", ","), "bad exponent spec ','"),
+    (("layers", "--algo", "w"), "unrecognized arguments"),
+    (("layers", "--exponents", "5"), "unrecognized arguments"),
+    (("layers", "--timeout", "1"), "unrecognized arguments"),
+    (("layers", "--paper-format"), "unrecognized arguments"),
+    (("bench", "--layers"), "unrecognized arguments"),
 ], ids=["zero-repeats", "negative-repeats", "negative-exponent",
         "garbled-exponents", "negative-list-n", "nth-bound", "count-n",
         "stats-n", "bench-bound", "bench-n", "nth-wheel", "verify-zero-n",
         "verify-negative-n", "verify-zero-bound", "verify-negative-bound",
         "nan-timeout", "infinite-timeout", "zero-timeout",
-        "negative-timeout", "empty-exponents", "comma-exponents"])
+        "negative-timeout", "empty-exponents", "comma-exponents",
+        "layers-algo", "layers-exponents", "layers-timeout", "layers-paper",
+        "bench-layers"])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1 and message in err
@@ -327,7 +348,7 @@ def test_bench_paper_format(capsys):
 
 
 def test_bench_layers_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--layers", "--repeats", "1",
+    code, out, _ = run(capsys, "layers", "--repeats", "1",
                        "--format", "csv")
     lines = out.strip().splitlines()
     assert code == 0 and lines[0] == "layer,elements,ns_per_element"
@@ -342,7 +363,7 @@ def test_bench_layers_csv(capsys):
 
 
 def test_bench_layers_json(capsys):
-    code, out, _ = run(capsys, "bench", "--layers", "--repeats", "1",
+    code, out, _ = run(capsys, "layers", "--repeats", "1",
                        "--format", "json")
     payload = json.loads(out)
     assert code == 0 and payload["environment"]
@@ -350,21 +371,13 @@ def test_bench_layers_json(capsys):
         "merge", "difference", "fold", "heap"]
 
 
-@pytest.mark.parametrize("extra", [
-    ("--algo", "w"), ("--exponents", "5"), ("--timeout", "1"),
-    ("--paper-format",)], ids=["algo", "exponents", "timeout", "paper"])
-def test_bench_layers_takes_format_and_repeats_only(capsys, extra):
-    code, _, err = run(capsys, "bench", "--layers", *extra)
-    assert code == 1 and "--layers takes --format and --repeats only" in err
-
-
-# `bench` and `bench --layers` output under a clock that reads one second
+# `bench` and `layers` output under a clock that reads one second
 # later at each call: each n = 32 run reads 2 s (its start, its deadline
 # check, its end), each n = 4096 run passes the 1.5 s deadline at its
 # second check, and each layer drain reads 1 s
 PINNED_BENCH = ("bench", "--algo", "naive-euler,es,td", "--exponents", "5,12",
                 "--repeats", "2", "--timeout", "1.5")
-PINNED_LAYERS = ("bench", "--layers", "--repeats", "2")
+PINNED_LAYERS = ("layers", "--repeats", "2")
 PINNED_ENV = "Linux-test / Python 3.x"
 PINNED_ROWS = [("TD", 32, 131, 2_000_000_000),
                ("ES", 32, 131, 2_000_000_000),
