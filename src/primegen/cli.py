@@ -12,8 +12,8 @@ Subcommands and the options each reads:
   verify  [--algo A,B,...] [--n 100000] [--bound 10000]
           run the cross-checks (variant vs oracle, wheel identities,
           erased/survivor induction, exactly-once tallies, queue shape)
-  bench   [--algo A,B,...] [--exponents 14..16] [--format md|csv|json]
-          [--repeats 5] [--timeout 60] [--paper-format]
+  bench   [--algo A,B,...] [--exponents 14..16]
+          [--format md|csv|json|paper] [--repeats 5] [--timeout 60]
           desk-scale timing table at n = 2^e for each exponent e, by
           default of every variant of the two tables, in table order
   layers  [--format md|csv|json] [--repeats 5]
@@ -23,10 +23,10 @@ Subcommands and the options each reads:
 
 A variant name ending in 4 (es4, w4, ...) is the 210-wheel form.
 
-Bad input is a usage error, raised before any run or check: `nth` and
-`verify` need --n >= 1 (`list` >= 0) and `verify` --bound >= 2; `bench`
-and `layers` need --repeats >= 1, and `bench` a positive, finite
---timeout and at least one exponent, none negative.
+Every option is checked and converted as it is parsed, so bad input is a
+usage error before any run: variant names must be known, --n >= 1 (`list`
+>= 0), `verify` --bound >= 2, --repeats >= 1, `bench` --timeout positive
+and finite, and its exponents at least one, none negative.
 
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
@@ -42,7 +42,7 @@ import platform
 import statistics
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from itertools import count, islice, takewhile
 from math import gcd, inf, isqrt
 
@@ -62,9 +62,9 @@ EXIT_VERIFY = 3
 CSV_COLUMNS = ("variant", "n", "p_n", "wall_ns")
 LAYER_COLUMNS = ("layer", "elements", "ns_per_element")
 
-#: column order of the stream-programs table and the queue-programs table
-TABLE1_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4")
-TABLE3_ORDER = ("on", "wpq", "epq", "on4", "wpq4", "epq4")
+#: column order of the stream-programs table, then the queue-programs table
+TABLE_ORDER = ("td", "bs", "bs4", "h", "w", "es", "h4", "w4", "es4",
+               "on", "wpq", "epq", "on4", "wpq4", "epq4")
 
 EULER_VARIANTS = ("h", "w", "es", "h4", "w4", "es4", "epq", "wpq", "epq4",
                   "wpq4")
@@ -94,8 +94,6 @@ def resolve_variant(name):
 def run_to_nth(variant, n, counters=None, timeout_s=None):
     """(n-th prime, wall ns) from pulling the first n primes; cooperative
     timeout between pulls."""
-    if n < 1:
-        raise UsageError("--n must be >= 1")
     gen = variant.factory(counters=counters)
     started = time.perf_counter_ns()
     deadline = None if timeout_s is None else started + int(timeout_s * 1e9)
@@ -161,43 +159,46 @@ def format_rows(fmt, columns, doc, key):
 # commands
 
 
+def tallied_run(variant, bound):
+    """(primes <= bound, wall ns, counters, {composite <= bound: times
+    generated}) from one run counted with a composite tally."""
+    counters = RunCounters(tally=Counter())
+    started = time.perf_counter_ns()
+    primes = primes_up_to_bound(variant, bound, counters)
+    wall = time.perf_counter_ns() - started
+    return primes, wall, counters, {v: c for v, c in counters.tally.items()
+                                    if v <= bound}
+
+
 def cmd_nth(args):
-    print(run_to_nth(resolve_variant(args.algo), args.n)[0])
+    print(run_to_nth(args.algo, args.n)[0])
     return EXIT_OK
 
 
 def cmd_list(args):
-    variant = resolve_variant(args.algo)
     if args.n is None and args.bound is None:
         raise UsageError("list needs --n or --bound")
     if args.n is not None and args.bound is not None:
         raise UsageError("list takes --n or --bound, not both")
     if args.n is not None:
-        if args.n < 0:
-            raise UsageError("--n must be >= 0")
-        values = take(variant.factory(), args.n)
+        values = take(args.algo.factory(), args.n)
         if len(values) < args.n:
             raise StreamError("variant ended early")
     else:
-        values = primes_up_to_bound(variant, args.bound)
+        values = primes_up_to_bound(args.algo, args.bound)
     sys.stdout.write("".join("%d\n" % v for v in values))
     return EXIT_OK
 
 
 def cmd_count(args):
-    print(len(primes_up_to_bound(resolve_variant(args.algo), args.bound)))
+    print(len(primes_up_to_bound(args.algo, args.bound)))
     return EXIT_OK
 
 
 def cmd_stats(args):
-    variant = resolve_variant(args.algo)
-    counters = RunCounters.with_tally()
-    started = time.perf_counter_ns()
-    primes = primes_up_to_bound(variant, args.bound, counters)
-    wall = time.perf_counter_ns() - started
-    in_bound = {v: c for v, c in counters.tally.items() if v <= args.bound}
+    primes, wall, counters, in_bound = tallied_run(args.algo, args.bound)
     record = {
-        "variant": variant.label,
+        "variant": args.algo.label,
         "bound": args.bound,
         "n": len(primes),
         "nth_prime": primes[-1] if primes else None,
@@ -210,32 +211,6 @@ def cmd_stats(args):
     }
     print(json.dumps(record, sort_keys=False))
     return EXIT_OK
-
-
-def _parse_exponents(text):
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo, hi = map(int, text.split("..", 1))
-            exponents = list(range(lo, hi + 1))
-        else:
-            exponents = [int(part) for part in text.split(",") if part]
-        if min(exponents, default=-1) < 0:
-            raise ValueError
-        return exponents
-    except ValueError:
-        raise UsageError("bad exponent spec %r (use e.g. 14..18 or 14,16)"
-                         % text) from None
-
-
-def _variant_list(args, default):
-    if args.algo is None:
-        names = list(default)
-    else:
-        names = [s.strip().lower() for s in args.algo.split(",")]
-        if not any(names):
-            raise UsageError("empty variant list")
-    return [resolve_variant(name) for name in dict.fromkeys(names)]
 
 
 def run_bench(variants, ns, repeats, timeout_s):
@@ -262,22 +237,23 @@ def _environment():
     return "%s / Python %s" % (platform.platform(), platform.python_version())
 
 
-def format_bench(rows, labels, ns, repeats, fmt, paper=False):
+def format_bench(rows, labels, ns, repeats, fmt):
     """`run_bench`'s rows for the variants `labels`: csv lists every cell,
     json the finished cells as rows and the others as timeouts, and md
-    pivots them into one line per n, shaped like the results tables."""
+    (or paper, with cells as minute'second^tenth) pivots them into one line
+    per n, shaped like the results tables."""
     env = _environment()
-    if fmt != "md":
+    if fmt in ("csv", "json"):
         return format_rows(fmt, CSV_COLUMNS, {
             "environment": env, "repeats": repeats,
             "rows": [row for row in rows if fmt == "csv" or row[3] != "-"],
             "timeouts": [list(row[:2]) for row in rows if row[3] == "-"]},
             "rows")
-    show = paper_time if paper else (lambda wall: "%.1f" % (wall / 1e6))
+    show = paper_time if fmt == "paper" else (lambda w: "%.1f" % (w / 1e6))
     cells = iter(["-" if wall == "-" else show(wall) for *_, wall in rows])
     head = ["n", *labels]
     lines = ["<!-- %s; median of %d runs, ms%s -->"
-             % (env, repeats, " (paper format)" if paper else ""),
+             % (env, repeats, " (paper format)" if fmt == "paper" else ""),
              "| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
     lines += ["| %d | %s |" % (n, " | ".join(islice(cells, len(labels))))
               for n in ns]
@@ -285,16 +261,13 @@ def format_bench(rows, labels, ns, repeats, fmt, paper=False):
 
 
 def cmd_bench(args):
-    if not 0 < args.timeout < inf:
-        raise UsageError("--timeout must be positive and finite (seconds)")
     # table order first, then the other variants as given
-    rank = {name: i for i, name in enumerate((*TABLE1_ORDER, *TABLE3_ORDER))}
-    variants = sorted(_variant_list(args, default=rank),
-                      key=lambda v: rank.get(v.name, len(rank)))
-    ns = [1 << e for e in _parse_exponents(args.exponents)]
+    rank = {name: i for i, name in enumerate(TABLE_ORDER)}
+    variants = sorted(args.algo, key=lambda v: rank.get(v.name, len(rank)))
+    ns = [1 << e for e in args.exponents]
     rows = run_bench(variants, ns, args.repeats, args.timeout)
     sys.stdout.write(format_bench(rows, [v.label for v in variants], ns,
-                                  args.repeats, args.format, args.paper_format))
+                                  args.repeats, args.format))
     return EXIT_OK
 
 
@@ -419,13 +392,11 @@ def _check_euler_sets(bound):
 
 
 def _check_single_generation(variant, bound):
-    counters = RunCounters.with_tally()
-    primes_up_to_bound(variant, bound, counters)
+    tally = tallied_run(variant, bound)[3]
     composites = oracle.composites_up_to(bound)
     if variant.wheel == 4:
         # the wheel leaves out every multiple of 2, 3, 5 and 7 up front
         composites = [v for v in composites if gcd(v, 210) == 1]
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
     if sorted(tally) != composites:
         raise CheckFailure("%s generated a different composite set below %d"
                            % (variant.label, bound))
@@ -483,12 +454,7 @@ def run_verify(variants, n, bound):
 
 
 def cmd_verify(args):
-    variants = _variant_list(args, default=list(ALL_VARIANTS))
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.bound < 2:
-        raise UsageError("--bound must be >= 2")
-    failures = run_verify(variants, args.n, args.bound)
+    failures = run_verify(args.algo, args.n, args.bound)
     if failures:
         print("%d check(s) failed" % failures, file=sys.stderr)
         return EXIT_VERIFY
@@ -504,11 +470,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def repeat_count(text):
-    """--repeats of `bench` and `layers`, checked as it is parsed."""
-    if int(text) < 1:
-        raise UsageError("--repeats must be >= 1")
-    return int(text)
+def checked(convert, ok, message):
+    """An argparse type: `convert(text)` if `ok` holds of it, else a usage
+    error; named for `convert`, as in "invalid int value: 'x'"."""
+    def check(text):
+        if not ok(convert(text)):
+            raise UsageError(message)
+        return convert(text)
+    check.__name__ = convert.__name__
+    return check
+
+
+def at_least(low, flag):
+    return checked(int, low.__le__, "%s must be >= %d" % (flag, low))
+
+
+def variant_list(text):
+    """A comma list of variant names as distinct `Variant`s, in order."""
+    names = [s.strip().lower() for s in text.split(",")]
+    if not any(names):
+        raise UsageError("empty variant list")
+    return [resolve_variant(name) for name in dict.fromkeys(names)]
+
+
+def _parse_exponents(text):
+    """Distinct exponents >= 0, in order, from "lo..hi" or a comma list."""
+    text = text.strip()
+    lo, dots, hi = text.partition("..")
+    try:
+        exponents = (range(int(lo), int(hi) + 1) if dots else
+                     dict.fromkeys(map(int, filter(None, text.split(",")))))
+    except ValueError:
+        exponents = ()
+    if min(exponents, default=-1) < 0:
+        raise UsageError("bad exponent spec %r (use e.g. 14..18 or 14,16)"
+                         % text)
+    return list(exponents)
 
 
 def build_parser():
@@ -516,20 +513,22 @@ def build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, algo_list=False):
+    def command(name, fn, summary, variants=None):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
-        if algo_list:
-            p.add_argument("--algo", help="comma list of variant names")
+        if variants is None:
+            p.add_argument("--algo", type=resolve_variant, required=True,
+                           help="variant name")
         else:
-            p.add_argument("--algo", required=True, help="variant name")
+            p.add_argument("--algo", type=variant_list, default=variants,
+                           help="comma list of variant names")
         return p
 
     p = command("nth", cmd_nth, "print the n-th prime")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=at_least(1, "--n"), required=True)
 
     p = command("list", cmd_list, "print the first n primes, or up to a bound")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=at_least(0, "--n"))
     p.add_argument("--bound", type=int)
 
     p = command("count", cmd_count, "count primes up to a bound")
@@ -539,25 +538,26 @@ def build_parser():
     p.add_argument("--bound", type=int, required=True)
 
     p = command("verify", cmd_verify, "run the verification suite",
-                algo_list=True)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--bound", type=int, default=10_000)
+                variants=list(ALL_VARIANTS.values()))
+    p.add_argument("--n", type=at_least(1, "--n"), default=100_000)
+    p.add_argument("--bound", type=at_least(2, "--bound"), default=10_000)
 
-    p = command("bench", cmd_bench, "desk-scale timing table", algo_list=True)
-    p.add_argument("--exponents", default="14..16",
+    p = command("bench", cmd_bench, "desk-scale timing table",
+                variants=[ALL_VARIANTS[name] for name in TABLE_ORDER])
+    p.add_argument("--exponents", type=_parse_exponents, default="14..16",
                    help="powers of two to target, e.g. 16..20 or 14,18 "
                         "(default 14..16)")
-    p.add_argument("--format", choices=("csv", "md", "json"), default="md")
-    p.add_argument("--repeats", type=repeat_count, default=5)
-    p.add_argument("--timeout", type=float, default=60.0,
-                   help="per-run cell timeout in seconds (default 60)")
-    p.add_argument("--paper-format", action="store_true",
-                   help="print cells as minute'second^tenth")
+    p.add_argument("--format", choices=("csv", "md", "json", "paper"),
+                   default="md", help="paper: md as minute'second^tenth")
+    p.add_argument("--repeats", type=at_least(1, "--repeats"), default=5)
+    p.add_argument("--timeout", default=60.0, type=checked(
+        float, lambda s: 0 < s < inf, "--timeout must be positive and finite"
+        " (seconds)"), help="per-run cell timeout in seconds (default 60)")
 
     p = sub.add_parser("layers", help="kernel layer timing table")
     p.set_defaults(fn=cmd_layers)
     p.add_argument("--format", choices=("csv", "md", "json"), default="md")
-    p.add_argument("--repeats", type=repeat_count, default=5)
+    p.add_argument("--repeats", type=at_least(1, "--repeats"), default=5)
     return parser
 
 

@@ -1,14 +1,13 @@
 import itertools
 import json
-import os
 import platform
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import fresh_env, run_python
 from primegen import ALL_VARIANTS, cli, oracle
 
 
@@ -185,13 +184,9 @@ def test_verify_queue_check_before_the_first_wheel_square(capsys):
 def test_verify_queue_variants_without_asserts():
     # under -O the subset assert of `s_minus` that EPQ's levels run through
     # is gone; the checks must still pass on the code that remains
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "primegen", "verify",
-         "--algo", "on,on4,wpq,wpq4,epq,epq4", "--n", "2000", "--bound", "2000"],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = run_python(
+        "-O", "-m", "primegen", "verify", "--algo", "on,on4,wpq,wpq4,epq,epq4",
+        "--n", "2000", "--bound", "2000", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
 
@@ -203,11 +198,9 @@ def test_verify_queue_variants_without_asserts():
 def test_closed_stdout_ends_quietly(argv):
     # a reader that stops early, as `| head -1` does: no traceback, and
     # one of the documented exit codes
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.Popen([sys.executable, "-m", "primegen", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "primegen", *argv],
+                            env=fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -252,6 +245,10 @@ def test_closed_stdout_ends_quietly(argv):
     (("layers", "--timeout", "1"), "unrecognized arguments"),
     (("layers", "--paper-format"), "unrecognized arguments"),
     (("bench", "--layers"), "unrecognized arguments"),
+    (("nth", "--algo", "es", "--n", "x"), "invalid int value: 'x'"),
+    (("bench", "--algo", "td", "--timeout", "x"), "invalid float value: 'x'"),
+    (("bench", "--algo", "td", "--repeats", "x"), "invalid int value: 'x'"),
+    (("bench", "--algo", "td", "--paper-format"), "unrecognized arguments"),
 ], ids=["zero-repeats", "negative-repeats", "negative-exponent",
         "garbled-exponents", "negative-list-n", "nth-bound", "count-n",
         "stats-n", "bench-bound", "bench-n", "nth-wheel", "verify-zero-n",
@@ -259,7 +256,8 @@ def test_closed_stdout_ends_quietly(argv):
         "nan-timeout", "infinite-timeout", "zero-timeout",
         "negative-timeout", "empty-exponents", "comma-exponents",
         "layers-algo", "layers-exponents", "layers-timeout", "layers-paper",
-        "bench-layers"])
+        "bench-layers", "text-n", "text-timeout", "text-repeats",
+        "bench-paper-format"])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1 and message in err
@@ -268,6 +266,18 @@ def test_bad_input_is_usage_error(capsys, argv, message):
 def test_verify_empty_variant_list_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--algo", ",")
     assert code == 1 and "empty variant list" in err
+
+
+def test_verify_runs_every_check_by_default(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "300", "--bound", "300")
+    checks = {line.split()[1] for line in out.splitlines()
+              if line.startswith("PASS ")}
+    assert code == 0 and checks == {
+        *("%s/oracle" % name for name in ALL_VARIANTS), "wheels",
+        "euler-sets", *("%s/exactly-once" % name for name in cli.EULER_VARIANTS),
+        *("%s/queue" % name for name, variant in ALL_VARIANTS.items()
+          if variant.family == "pq")}
+    assert len(checks) == len(out.splitlines()) == 34
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):
@@ -343,8 +353,16 @@ def test_paper_time_format():
 
 def test_bench_paper_format(capsys):
     code, out, _ = run(capsys, "bench", "--algo", "td", "--exponents", "5",
-                       "--repeats", "1", "--format", "md", "--paper-format")
+                       "--repeats", "1", "--format", "paper")
     assert code == 0 and "^" in out
+
+
+def test_bench_runs_a_repeated_exponent_once(capsys):
+    code, out, _ = run(capsys, "bench", "--algo", "td", "--exponents", "5,5",
+                       "--repeats", "1", "--format", "csv")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "variant,n,p_n,wall_ns"
+    assert [line.split(",")[:3] for line in lines[1:]] == [["TD", "32", "131"]]
 
 
 def test_bench_layers_csv(capsys):

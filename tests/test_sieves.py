@@ -1,14 +1,12 @@
-import os
-import subprocess
 import sys
 import textwrap
 from itertools import count, islice
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from primegen import ALL_VARIANTS, oracle
 from primegen.sieves import (
     STREAM_VARIANTS,
@@ -62,11 +60,7 @@ def test_naive_euler_reaches_its_default_cap():
         except VariantCapExceeded:
             print("capped at", variant.cap)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["capped", "at", "400"]
 
@@ -286,75 +280,21 @@ def test_hamming_sieve_frees_what_every_reader_passed(name, mib):
     assert _traced_peak(STREAM_VARIANTS[name], 2**14) < mib * 2**20
 
 
-def test_stream_variants_survive_a_low_caller_recursion_limit():
-    # no uncapped sieve raises the limit, not even for its deepest folds
+@pytest.mark.parametrize(
+    "name", [name for name, v in ALL_VARIANTS.items() if v.cap is None])
+def test_variant_survives_a_low_caller_recursion_limit(name):
+    # no uncapped sieve raises the limit, not even for its deepest folds:
+    # the tree fold is about 2*log2(k) frames deep, and H's C is one knot, a
+    # tree fold of the Hamming levels, so no H level nests a frame per base
+    # prime
     script = textwrap.dedent("""
         import sys
-        from primegen import oracle
-        from primegen.sieves import STREAM_VARIANTS
-        from primegen.streams import take
-        expect = oracle.first_primes(10_000)
-        for name, variant in STREAM_VARIANTS.items():
-            if variant.cap is None:
-                sys.setrecursionlimit(100)
-                assert take(variant.factory(), 10_000) == expect, name
-                print(name)
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    uncapped = [n for n, v in STREAM_VARIANTS.items() if v.cap is None]
-    assert proc.stdout.split() == uncapped
-
-
-FOLD_VARIANTS = ["bs", "bs4", "w", "w4", "es", "es4"]
-
-
-def test_fold_variants_leave_the_recursion_limit_alone():
-    # the tree fold is about 2*log2(k) frames deep, so no fold raises it
-    script = textwrap.dedent("""
-        import sys
-        from primegen import oracle
-        from primegen.sieves import STREAM_VARIANTS
+        from primegen import ALL_VARIANTS, oracle
         from primegen.streams import take
         sys.setrecursionlimit(100)
-        expect = oracle.first_primes(20_000)
-        for name in %r:
-            assert take(STREAM_VARIANTS[name].factory(), 20_000) == expect, name
-            print(name)
+        got = take(ALL_VARIANTS[%r].factory(), 20_000)
+        assert got == oracle.first_primes(20_000)
         assert sys.getrecursionlimit() == 100
-    """ % FOLD_VARIANTS)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    """ % name)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == FOLD_VARIANTS
-
-
-def test_hamming_variants_leave_the_recursion_limit_alone():
-    # C is one knot, a tree fold of the Hamming levels, so no H level nests
-    # a frame per base prime
-    script = textwrap.dedent("""
-        import sys
-        from primegen import oracle
-        from primegen.sieves import STREAM_VARIANTS
-        from primegen.streams import take
-        sys.setrecursionlimit(100)
-        expect = oracle.first_primes(20_000)
-        for name in ("h", "h4"):
-            assert take(STREAM_VARIANTS[name].factory(), 20_000) == expect, name
-            print(name)
-        assert sys.getrecursionlimit() == 100
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["h", "h4"]

@@ -1,15 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from itertools import count, islice
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from primegen import oracle
 from primegen.hamming import composites_of_primes
 from primegen.streams import (
@@ -258,11 +255,7 @@ def test_fold_union_p_depth_fits_a_low_recursion_limit():
         assert out == list(range(50_000))
         assert sys.getrecursionlimit() == 100
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -329,11 +322,7 @@ def test_broken_preconditions_under_optimize_give_union_and_minus_output():
             print(list(fold_union_p(iter([iter([4, 6]), iter([6, 9])]),
                                     True, counters)))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[2, 6]", "[1, 5, 7]", "[4, 6, 9]"] * 2
 
