@@ -50,8 +50,9 @@ ES's and EPQ's `_erasing`, one survivor induction (`es_step`). Level p of
 reader that feeds the next level, so a pull seldom crosses more than a
 few of the nested differences, and neither driver raises the recursion
 limit for them. Each level tees the survivors it reads, apart from the
-first: its three readers mount the candidates afresh, so it holds no
-window of them. `_folded` and `pq._postponed` bound what they emit
+first two: the first level's three readers mount the candidates afresh,
+and the second's re-derive the first level's survivors, so neither holds
+a window of them. `_folded` and `pq._postponed` bound what they emit
 (`bounded`), not the levels.
 """
 
@@ -196,30 +197,48 @@ def es_euler_w4(counters=None):
 def _erasing(w4, counters):
     """ES's level: p times the survivors of the levels before it.
 
-    The first level's survivors are the candidates themselves, which
-    `_Remounted` mounts afresh for each of its readers, so that level holds
-    no `tee` window. One would hold every candidate between the filter's
-    reader, near v/6 on the bare form, and the erased set's, near v/2.
+    The first level's survivors are the candidates themselves, mounted
+    afresh for each of its readers, and the second level's are the first
+    level's difference, re-run for each of its readers (`_rederived`), so
+    neither level holds a `tee` window. The first would hold every
+    candidate between the filter's reader, near v/6 on the bare form, and
+    the erased set's, near v/2; the second every odd number from about
+    v/15 to v/3. Of the second level's readers only the erased one, the
+    furthest ahead, counts its re-run, so `counters` see the pulls a `tee`
+    would make. Each later level tees the survivors it reads.
     """
-    survivors = _Remounted(w4)
+    survivors = None
 
     def level(p):
         nonlocal survivors
-        erased, survivors = es_step(p, survivors, counters)
+        if survivors is None:
+            candidates = _Reiterable(lambda: mount(w4)[2])
+            erased, survivors = _rederived(p, candidates, counters)
+        else:
+            erased, survivors = es_step(p, survivors, counters)
         return erased
 
     return level
 
 
-class _Remounted:
-    # the mounted candidates, re-iterable: each `iter()` mounts them afresh
-    __slots__ = ("w4",)
+def _rederived(p, candidates, counters):
+    # `es_step` over re-iterable candidates, with re-iterable survivors: the
+    # first `iter()` of them is the counted copy, and each later one re-runs
+    # the difference uncounted
+    erased, counted = es_step(p, candidates, counters)
+    copies = chain([counted], iter(lambda: es_step(p, candidates)[1], None))
+    return erased, _Reiterable(copies.__next__)
 
-    def __init__(self, w4):
-        self.w4 = w4
+
+class _Reiterable:
+    # a re-iterable stream: each `iter()` returns a fresh copy, `fresh()`
+    __slots__ = ("fresh",)
+
+    def __init__(self, fresh):
+        self.fresh = fresh
 
     def __iter__(self):
-        return mount(self.w4)[2]
+        return self.fresh()
 
 
 def es_step(p, survivors, counters=None):
@@ -232,8 +251,11 @@ def es_step(p, survivors, counters=None):
     erased stream. From an iterator they are one three-reader `tee`, which
     holds only survivor ints that already exist, over one window, where a
     tee of the products would hold fresh product ints as well. From a
-    re-iterable, such as the candidates of ES's first level, each reader is
-    its own `iter()`, and nothing is held.
+    re-iterable, such as ES's candidates or its first level's survivors,
+    each reader is its own `iter()`, taken erased reader first, and nothing
+    is held. The erased reader runs furthest ahead: it reaches v/p_k, the
+    other two at most v/p_{k+1}. So when only its copy is counted, as in
+    ES's first level's survivors, `counters` see what a tee would pull.
     """
     src = iter(survivors)
     if src is survivors:

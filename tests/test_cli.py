@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_fresh_import_loads_only_the_sieve_modules():
+    # the benchmark child imports `primegen`: keep `cli` and `oracle` out
+    result = run_python("-c", "import sys, primegen; print(' '.join(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'primegen')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "primegen", "primegen.hamming", "primegen.pq", "primegen.sieves",
+        "primegen.streams", "primegen.wheels",
+    ]
+
+
 def test_nth_first_prime(capsys):
     code, out, _ = run(capsys, "nth", "--algo", "es", "--n", "1")
     assert code == 0 and out.strip() == "2"

@@ -1,6 +1,6 @@
 import sys
 import textwrap
-from itertools import count, islice
+from itertools import count, islice, tee
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +11,8 @@ from primegen import ALL_VARIANTS, oracle
 from primegen.sieves import (
     STREAM_VARIANTS,
     VariantCapExceeded,
+    _Reiterable,
+    _rederived,
     bird_sieve,
     bird_sieve_w4,
     es_euler,
@@ -25,6 +27,7 @@ from primegen.sieves import (
 )
 from primegen.pq import PQ_VARIANTS
 from primegen.streams import RunCounters, StreamError, take
+from primegen.wheels import mount
 from test_pq import _traced_peak
 
 
@@ -179,6 +182,34 @@ def test_es_step_on_a_reiterable_matches_the_tee_and_the_sets(bound, fresh_at):
         assert [v for v in erased_teed if v <= bound] == want
 
 
+@pytest.mark.parametrize("survivors", [
+    [],
+    _Reiterable(lambda: iter(())),
+    _rederived(2, [2], None)[1],  # the candidates [2] leave no survivors
+], ids=["list", "reiterable", "rederived"])
+def test_es_step_on_empty_reiterable_survivors_is_an_error(survivors):
+    with pytest.raises(StreamError, match="empty survivor stream"):
+        es_step(3, survivors)
+
+
+@pytest.mark.parametrize("w4", [False, True], ids=["bare", "w4"])
+def test_first_level_survivors_rederive_the_teed_stream(w4):
+    # every iter() of ES's first-level survivors reads as a reader of the
+    # tee the second level used to hold over them; only the first is counted
+    mounted, _, candidates = mount(w4)
+    p = mounted[-1]
+    counters = RunCounters()
+    _, survivors = _rederived(p, _Reiterable(lambda: mount(w4)[2]), counters)
+    counted = take(iter(survivors), 3_000)
+    pulled = counters.comparisons
+    copies = [counted] + [take(iter(survivors), 3_000) for _ in range(3)]
+    teed = tee(es_step(p, candidates)[1], 4)
+    assert copies == [take(t, 3_000) for t in teed]
+    assert pulled > 0 and counters.comparisons == pulled
+    if not w4:
+        assert counted == list(range(3, 6_002, 2))
+
+
 def test_es_erased_heads():
     survivors = count(2)
     erased1, survivors = es_step(2, survivors)
@@ -250,6 +281,13 @@ def test_wheel_chain_holds_each_wheel_once(variant):
 def test_survivor_induction_holds_no_window_of_candidates(variant):
     # the first level mounts the candidates afresh for each of its readers
     assert _traced_peak(variant, 2**14) < 2 * 2**20
+
+
+def test_survivor_induction_peak_stays_within_a_ratio_of_w():
+    # no tee window over the first two levels' survivors; a ratio, since
+    # the bytes themselves move between CPython versions
+    es, w = (_traced_peak(STREAM_VARIANTS[name], 2**14) for name in ("es", "w"))
+    assert es < 6.5 * w
 
 
 @pytest.mark.parametrize("variant", [
