@@ -8,14 +8,18 @@ Subcommands and the options each reads:
   count   --algo A --bound B
           print how many primes lie at or below a bound
   stats   --algo A --bound B
-          instrumented counters for one variant as a JSON line
+          one counted run to B as a JSON line: variant, bound, n and
+          nth_prime of the primes <= B, wall_ns, composites (births <= B;
+          TD and NAIVE_EULER count none, so theirs read 0),
+          distinct_composites, comparisons and peak_buffer
   verify  [--algo A,B,...] [--n 100000] [--bound 10000]
           run the cross-checks (variant vs oracle, wheel identities,
           erased/survivor induction, exactly-once tallies, queue shape)
   bench   [--algo A,B,...] [--exponents 14..16]
           [--format md|csv|json|paper] [--repeats 5] [--timeout 60]
           desk-scale timing table at n = 2^e for each exponent e, by
-          default of every variant of the two tables, in table order
+          default of every variant of the two tables, in table order,
+          uncounted so that the wall times are honest
   layers  [--format md|csv|json] [--repeats 5]
           ns per element pulled into the stream kernel's merge step,
           difference step and fold, each over fixed synthetic input,
@@ -30,9 +34,6 @@ and finite, and its exponents at least one, none negative.
 
 Exit codes: 0 ok, 1 usage (or stdout closed early, as by `| head`),
 2 resource/cap exceeded, 3 verification failed.
-
-Benchmark cells run uninstrumented so wall times are honest; `stats`
-reports the counters.
 """
 
 import argparse
@@ -108,22 +109,13 @@ def run_to_nth(variant, n, counters=None, timeout_s=None):
         value = block[-1]
         if deadline is not None and time.perf_counter_ns() > deadline:
             raise CellTimeout(variant.name)
-    wall = time.perf_counter_ns() - started
-    if counters is not None:
-        counters.pulls += got
-    return value, wall
+    return value, time.perf_counter_ns() - started
 
 
 def primes_up_to_bound(variant, bound, counters=None):
-    """All primes <= bound from one variant."""
-    out = []
-    for p in variant.factory(counters=counters):
-        if p > bound:
-            break
-        out.append(p)
-    if counters is not None:
-        counters.pulls += len(out)
-    return out
+    """All primes <= bound from one variant. The run also pulls the first
+    prime past the bound, so `counters` count the work up to it."""
+    return list(takewhile(bound.__ge__, variant.factory(counters=counters)))
 
 
 def paper_time(ns):
@@ -206,7 +198,6 @@ def cmd_stats(args):
         "composites": sum(in_bound.values()),
         "distinct_composites": len(in_bound),
         "comparisons": counters.comparisons,
-        "pulls": counters.pulls,
         "peak_buffer": counters.peak_buffer,
     }
     print(json.dumps(record, sort_keys=False))
@@ -375,18 +366,12 @@ def _check_wheels():
 def _check_euler_sets(bound):
     # ES's own levels, for as many of the first 10 primes as the bound holds
     primes = [p for p in oracle.first_primes(10) if p <= bound]
+    sets = oracle.euler_sets_brute_force(len(primes), bound)
+    sets.check_invariants()
     level = _erasing(False, None)
     for k, p in enumerate(primes, start=1):
-        erased = level(p)
-        sets = oracle.euler_sets_brute_force(k, bound)
-        sets.check_invariants()
-        want = sorted(sets.erased[k - 1])
-        got = []
-        for v in erased:
-            if v > bound:
-                break
-            got.append(v)
-        if got != want:
+        erased = list(takewhile(bound.__ge__, level(p)))
+        if erased != sorted(sets.erased[k - 1]):
             raise CheckFailure("erased stream at round %d != oracle" % k)
     return "erased streams match the set induction for %d rounds" % len(primes)
 
@@ -398,13 +383,13 @@ def _check_single_generation(variant, bound):
         # the wheel leaves out every multiple of 2, 3, 5 and 7 up front
         composites = [v for v in composites if gcd(v, 210) == 1]
     if sorted(tally) != composites:
-        raise CheckFailure("%s generated a different composite set below %d"
+        raise CheckFailure("%s generated a different composite set up to %d"
                            % (variant.label, bound))
     bad = [v for v, c in tally.items() if c != 1]
     if bad:
         raise CheckFailure("%s generated %d twice" % (variant.label, min(bad)))
-    return "every %scomposite below %d generated exactly once" % (
-        "210-coprime " if variant.wheel == 4 else "", bound)
+    return "%d %scomposites up to %d, each generated exactly once" % (
+        len(composites), "210-coprime " if variant.wheel == 4 else "", bound)
 
 
 def _check_pq_shape(variant, n):
@@ -422,13 +407,11 @@ def _check_pq_shape(variant, n):
 
 
 def run_verify(variants, n, bound):
-    out = sys.stdout
-    checks = []
-    for variant in variants:
-        checks.append(("%s/oracle" % variant.name,
-                       lambda v=variant: _check_variant_against_oracle(v, n)))
-    checks.append(("wheels", _check_wheels))
-    checks.append(("euler-sets", lambda: _check_euler_sets(bound)))
+    checks = [("%s/oracle" % v.name,
+               lambda v=v: _check_variant_against_oracle(v, n))
+              for v in variants]
+    checks += [("wheels", _check_wheels),
+               ("euler-sets", lambda: _check_euler_sets(bound))]
     for variant in variants:
         if variant.name in EULER_VARIANTS:
             checks.append(
@@ -443,13 +426,13 @@ def run_verify(variants, n, bound):
             detail = check()
         except CheckFailure as exc:
             failures += 1
-            out.write("FAIL %-22s %s\n" % (name, exc))
+            print("FAIL %-22s %s" % (name, exc))
         except Exception as exc:
             failures += 1
-            out.write("FAIL %-22s crashed: %s: %s\n"
-                      % (name, type(exc).__name__, exc))
+            print("FAIL %-22s crashed: %s: %s"
+                  % (name, type(exc).__name__, exc))
         else:
-            out.write("PASS %-22s %s\n" % (name, detail))
+            print("PASS %-22s %s" % (name, detail))
     return failures
 
 

@@ -44,15 +44,6 @@ def first_primes(n):
         bound *= 2
 
 
-def nth_prime(n):
-    return first_primes(n)[-1]
-
-
-def prime_count(n):
-    """pi(n)."""
-    return len(primes_up_to(n))
-
-
 def composites_up_to(n):
     """All composite numbers in [2..n]."""
     prime = set(primes_up_to(n))

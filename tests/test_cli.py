@@ -85,13 +85,6 @@ def test_stats_small_wheel_sieve(capsys):
     assert record["n"] == 4 and record["nth_prime"] == 7
 
 
-def test_stats_pulls_count_primes_delivered(capsys):
-    code, out, _ = run(capsys, "stats", "--algo", "es", "--bound", "100")
-    record = json.loads(out)
-    assert code == 0 and record["n"] == 25
-    assert record["pulls"] == record["n"]
-
-
 def test_stats_bird_sum_of_multiplicities(capsys):
     code, out, _ = run(capsys, "stats", "--algo", "bs", "--bound", "300")
     record = json.loads(out)
@@ -109,7 +102,7 @@ def test_stats_deterministic_apart_from_timing(capsys):
 
 
 # composites, distinct_composites, comparisons and peak_buffer at
-# `stats --bound 20000`; every uncapped variant reads n = pulls = 2262 there
+# `stats --bound 20000`; every uncapped variant reads n = 2262 there
 STATS_AT_20000 = {
     "td": (0, 0, 0, 0),
     "bs": (35485, 17737, 154118, 0),
@@ -145,7 +138,7 @@ def test_stats_record_is_pinned(capsys, name):
         "variant": ALL_VARIANTS[name].label, "bound": 20000, "n": 2262,
         "nth_prime": 19997, "composites": composites,
         "distinct_composites": distinct, "comparisons": comparisons,
-        "pulls": 2262, "peak_buffer": peak,
+        "peak_buffer": peak,
     }
 
 
@@ -190,6 +183,19 @@ def test_verify_queue_check_before_the_first_wheel_square(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "on4", "--n", "5",
                        "--bound", "100")
     assert code == 0 and "PASS on4/queue" in out
+
+
+def test_verify_exactly_once_reports_the_composites_it_checked(capsys):
+    # the wheel leaves no composite up to 100: 11**2 is the first
+    code, out, _ = run(capsys, "verify", "--algo", "es,es4", "--n", "5",
+                       "--bound", "100")
+    lines = {line.split()[1]: line.split(None, 2)[2]
+             for line in out.splitlines()}
+    assert code == 0
+    assert lines["es/exactly-once"] == (
+        "74 composites up to 100, each generated exactly once")
+    assert lines["es4/exactly-once"] == (
+        "0 210-coprime composites up to 100, each generated exactly once")
 
 
 def test_verify_queue_variants_without_asserts():
@@ -333,7 +339,7 @@ def test_bench_csv_columns(capsys):
     assert len(lines) == 3
     row = lines[1].split(",")
     assert row[0] == "ES" and row[1] == "32"
-    assert int(row[2]) == oracle.nth_prime(32)
+    assert int(row[2]) == oracle.first_primes(32)[-1]
 
 
 def test_bench_timeout_marks_dash(capsys):
@@ -351,7 +357,7 @@ def test_bench_json(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["rows"][0]["variant"] == "WPQ4"
-    assert payload["rows"][0]["p_n"] == oracle.nth_prime(64)
+    assert payload["rows"][0]["p_n"] == oracle.first_primes(64)[-1]
     assert payload["environment"]
 
 

@@ -1,17 +1,17 @@
 import heapq
-import tracemalloc
-from collections import Counter, deque
-from itertools import count, islice, takewhile
-from math import gcd, isqrt
+from collections import Counter
+from itertools import count, takewhile
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primegen import oracle
+from conftest import traced_peak
+from primegen import ALL_VARIANTS, cli, oracle
 from primegen.pq import (PQ_VARIANTS, CompositePQ, _queued, epq_sieve,
                          oneill_sieve, wpq_sieve)
-from primegen.sieves import STREAM_VARIANTS, _multiples, es_euler, wheel_euler_w4
+from primegen.sieves import _multiples, es_euler, wheel_euler_w4
 from primegen.streams import RunCounters, take
 
 
@@ -91,7 +91,7 @@ def test_oneill_heap_items_fit_one_digit_at_the_benchmark_scale():
                   _multiples(False), None)
     assert list(takewhile(v.__gt__, gen))[-1] == oracle.primes_up_to(v)[-1]
     heap = gen.gi_frame.f_locals["heap"]
-    assert len(heap) == oracle.prime_count(907) == 155
+    assert len(heap) == len(oracle.primes_up_to(907)) == 155
     assert max(heap) < 1 << 30
 
 
@@ -119,27 +119,17 @@ def test_wpq4_equals_stream_w4(primes10k):
 
 
 def test_oneill_key_entries_match_bird_multiplicity():
-    bound = 2_000
-    counters = RunCounters.with_tally()
-    for p in oneill_sieve(False, counters):
-        if p > bound:
-            break
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
-    assert sorted(tally) == oracle.composites_up_to(bound)
+    tally = cli.tallied_run(PQ_VARIANTS["on"], 2_000)[3]
+    assert sorted(tally) == oracle.composites_up_to(2_000)
     for c, times in tally.items():
         assert times == oracle.bird_multiplicity(c)
     assert tally[120] == 3
 
 
-@pytest.mark.parametrize("sieve", [epq_sieve, wpq_sieve])
-def test_euler_pq_keys_enter_once(sieve):
-    bound = 20_000
-    counters = RunCounters.with_tally()
-    for p in sieve(False, counters):
-        if p > bound:
-            break
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
-    assert sorted(tally) == oracle.composites_up_to(bound)
+@pytest.mark.parametrize("name", ["epq", "wpq"])
+def test_euler_pq_keys_enter_once(name):
+    tally = cli.tallied_run(PQ_VARIANTS[name], 20_000)[3]
+    assert sorted(tally) == oracle.composites_up_to(20_000)
     assert set(tally.values()) == {1}
 
 
@@ -151,14 +141,8 @@ def test_fold_and_queue_forms_generate_the_same_composites(fold, queue):
     # one level per family: its fold and its queue form generate the same
     # composites, as often each
     bound = 20_000
-    tallies = []
-    for variant in (STREAM_VARIANTS[fold], PQ_VARIANTS[queue]):
-        counters = RunCounters.with_tally()
-        for p in variant.factory(counters=counters):
-            if p > bound:
-                break
-        tallies.append(Counter({v: c for v, c in counters.tally.items()
-                                if v <= bound}))
+    tallies = [cli.tallied_run(ALL_VARIANTS[name], bound)[3]
+               for name in (fold, queue)]
     assert tallies[0] == tallies[1]
     wheel = PQ_VARIANTS[queue].wheel
     assert sorted(tallies[0]) == [c for c in oracle.composites_up_to(bound)
@@ -198,17 +182,10 @@ def test_epq_wpq_pop_identical_key_multisets():
 
 
 @pytest.mark.parametrize("name", sorted(PQ_VARIANTS))
-def test_queue_shape_and_pop_order(name, primes10k):
-    variant = PQ_VARIANTS[name]
-    counters = RunCounters()
-    gen = variant.factory(counters=counters)
-    value = take(gen, 10_000)[-1]
-    assert value == primes10k[-1]
-    expect = oracle.prime_count(isqrt(value))
-    if variant.wheel:
-        expect -= 4
-    assert abs(counters.pq_size - expect) <= 1
-    assert counters.pop_inversions == 0
+def test_queue_shape_and_pop_order(name):
+    # the exact entry count `verify` checks: one per base prime up to
+    # sqrt(p_n), past the wheel's
+    cli._check_pq_shape(PQ_VARIANTS[name], 10_000)
 
 
 # prefixes that end just past the squares where the postponed feed is first
@@ -227,21 +204,12 @@ def test_every_queue_variant_matches_oracle_prefix(n):
         assert counters.pop_inversions == 0, name
 
 
-def _traced_peak(variant, n):
-    tracemalloc.start()
-    try:
-        deque(islice(variant.factory(), n), maxlen=0)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name", ["on", "on4"])
 def test_oneill_queue_state_grows_slowly(name):
-    small, large = (_traced_peak(PQ_VARIANTS[name], n) for n in (2**12, 2**14))
+    small, large = (traced_peak(name, n) for n in (2**12, 2**14))
     assert large <= 2.5 * small
 
 
 @pytest.mark.parametrize("name", ["wpq", "wpq4", "epq", "epq4"])
 def test_euler_queue_state_stays_small(name):
-    assert _traced_peak(PQ_VARIANTS[name], 2**14) < 4 * 2**20
+    assert traced_peak(name, 2**14) < 4 * 2**20

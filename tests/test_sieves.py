@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
-from primegen import ALL_VARIANTS, oracle
+from conftest import run_python, traced_peak
+from primegen import ALL_VARIANTS, cli, oracle
 from primegen.sieves import (
     STREAM_VARIANTS,
     VariantCapExceeded,
@@ -25,10 +25,8 @@ from primegen.sieves import (
     wheel_euler,
     wheel_euler_w4,
 )
-from primegen.pq import PQ_VARIANTS
 from primegen.streams import RunCounters, StreamError, take
 from primegen.wheels import mount
-from test_pq import _traced_peak
 
 
 def test_trial_division_examples():
@@ -89,13 +87,8 @@ def test_bird_sieve_first_10k(primes10k):
 
 
 def test_bird_multiplicities_match_oracle():
-    bound = 2_000
-    counters = RunCounters.with_tally()
-    for p in bird_sieve(counters):
-        if p > bound:
-            break
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
-    assert sorted(tally) == oracle.composites_up_to(bound)
+    tally = cli.tallied_run(STREAM_VARIANTS["bs"], 2_000)[3]
+    assert sorted(tally) == oracle.composites_up_to(2_000)
     for c, times in tally.items():
         assert times == oracle.bird_multiplicity(c)
     assert tally[120] == 3
@@ -104,11 +97,7 @@ def test_bird_multiplicities_match_oracle():
 
 def test_bird_w4_multiplicities_match_bruteforce():
     bound = 20_000
-    counters = RunCounters.with_tally()
-    for p in bird_sieve_w4(counters):
-        if p > bound:
-            break
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
+    tally = cli.tallied_run(STREAM_VARIANTS["bs4"], bound)[3]
     survivors = {n for n in range(11, bound + 1)
                  if n % 2 and n % 3 and n % 5 and n % 7}
     composites = [c for c in oracle.composites_up_to(bound) if c in survivors]
@@ -219,13 +208,8 @@ def test_es_erased_heads():
 
 
 def test_wheel_euler_single_generation():
-    bound = 20_000
-    counters = RunCounters.with_tally()
-    for p in wheel_euler(counters):
-        if p > bound:
-            break
-    tally = {v: c for v, c in counters.tally.items() if v <= bound}
-    assert sorted(tally) == oracle.composites_up_to(bound)
+    tally = cli.tallied_run(STREAM_VARIANTS["w"], 20_000)[3]
+    assert sorted(tally) == oracle.composites_up_to(20_000)
     assert set(tally.values()) == {1}
 
 
@@ -247,58 +231,6 @@ def test_every_stream_variant_matches_oracle_prefix(n):
         assert take(variant.factory(), m) == oracle.first_primes(m), name
 
 
-@pytest.mark.parametrize("name", ["bs", "bs4"])
-def test_fold_sieve_state_grows_slowly(name):
-    # base primes come from an inner instance, so no prime memo grows like n
-    small, large = (_traced_peak(STREAM_VARIANTS[name], n) for n in (2**12, 2**14))
-    assert large <= 2.5 * small
-
-
-@pytest.mark.parametrize("name", ["w", "w4"])
-def test_wheel_sieve_state_stays_small(name):
-    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < 0.7 * 2**20
-
-
-@pytest.mark.parametrize("name, mib", [("es", 4.5), ("es4", 1)])
-def test_survivor_induction_tees_the_survivors_once(name, mib):
-    # one window of survivors per level, no window of erased products
-    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < mib * 2**20
-
-
-@pytest.mark.parametrize("variant", [
-    STREAM_VARIANTS["w"], STREAM_VARIANTS["w4"],
-    PQ_VARIANTS["wpq"], PQ_VARIANTS["wpq4"],
-], ids=lambda v: v.name)
-def test_wheel_chain_holds_each_wheel_once(variant):
-    # one gap list per wheel, rolled in place: no replay memo and no
-    # cycle's copy of it beside the list
-    assert _traced_peak(variant, 2**14) < 0.34 * 2**20
-
-
-@pytest.mark.parametrize("variant", [
-    STREAM_VARIANTS["es"], PQ_VARIANTS["epq"],
-], ids=lambda v: v.name)
-def test_survivor_induction_holds_no_window_of_candidates(variant):
-    # the first level mounts the candidates afresh for each of its readers
-    assert _traced_peak(variant, 2**14) < 2 * 2**20
-
-
-def test_survivor_induction_peak_stays_within_a_ratio_of_w():
-    # no tee window over the first two levels' survivors; a ratio, since
-    # the bytes themselves move between CPython versions
-    es, w = (_traced_peak(STREAM_VARIANTS[name], 2**14) for name in ("es", "w"))
-    assert es < 6.5 * w
-
-
-@pytest.mark.parametrize("variant", [
-    STREAM_VARIANTS["w"], STREAM_VARIANTS["w4"],
-    PQ_VARIANTS["wpq"], PQ_VARIANTS["wpq4"],
-], ids=lambda v: v.name)
-def test_wheel_chain_packs_its_gaps(variant):
-    # two bytes a gap, where a list slot takes eight
-    assert _traced_peak(variant, 2**14) < 0.22 * 2**20
-
-
 @pytest.mark.parametrize("factory, figures", [
     (primes_h, (204828, 204828, 1179643, 224737)),
     (primes_h4, (31460, 31460, 297348, 51373)),
@@ -312,10 +244,53 @@ def test_hamming_sieve_counters_at_20000_primes(factory, figures):
             counters.peak_buffer) == figures
 
 
+@pytest.mark.parametrize("name", ["bs", "bs4"])
+def test_fold_sieve_state_grows_slowly(name):
+    # base primes come from an inner instance, so no prime memo grows like n
+    small, large = (traced_peak(name, n) for n in (2**12, 2**14))
+    assert large <= 2.5 * small
+
+
+@pytest.mark.parametrize("name", ["w", "w4"])
+def test_wheel_sieve_state_stays_small(name):
+    assert traced_peak(name, 2**14) < 0.7 * 2**20
+
+
+@pytest.mark.parametrize("name, mib", [("es", 4.5), ("es4", 1)])
+def test_survivor_induction_tees_the_survivors_once(name, mib):
+    # one window of survivors per level, no window of erased products
+    assert traced_peak(name, 2**14) < mib * 2**20
+
+
+@pytest.mark.parametrize("name", ["w", "w4", "wpq", "wpq4"])
+def test_wheel_chain_holds_each_wheel_once(name):
+    # one gap list per wheel, rolled in place: no replay memo and no
+    # cycle's copy of it beside the list
+    assert traced_peak(name, 2**14) < 0.34 * 2**20
+
+
+@pytest.mark.parametrize("name", ["es", "epq"])
+def test_survivor_induction_holds_no_window_of_candidates(name):
+    # the first level mounts the candidates afresh for each of its readers
+    assert traced_peak(name, 2**14) < 2 * 2**20
+
+
+@pytest.mark.parametrize("name", ["w", "w4", "wpq", "wpq4"])
+def test_wheel_chain_packs_its_gaps(name):
+    # two bytes a gap, where a list slot takes eight
+    assert traced_peak(name, 2**14) < 0.22 * 2**20
+
+
 @pytest.mark.parametrize("name, mib", [("h", 9.5), ("h4", 4.6)])
 def test_hamming_sieve_frees_what_every_reader_passed(name, mib):
     # level x reads its own output back from v/x, so it holds (v/x, v]
-    assert _traced_peak(STREAM_VARIANTS[name], 2**14) < mib * 2**20
+    assert traced_peak(name, 2**14) < mib * 2**20
+
+
+def test_survivor_induction_peak_stays_within_a_ratio_of_w():
+    # no tee window over the first two levels' survivors; a ratio, since
+    # the bytes themselves move between CPython versions
+    assert traced_peak("es", 2**14) < 6.5 * traced_peak("w", 2**14)
 
 
 @pytest.mark.parametrize(

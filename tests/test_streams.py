@@ -200,7 +200,7 @@ def test_fold_union_p_productivity_bound(primes10k):
     fold = fold_union_p(counter)
     for _ in range(20_000):
         value = next(fold)
-        bound = oracle.prime_count(int(value ** 0.5)) + 1
+        bound = len(oracle.primes_up_to(int(value ** 0.5))) + 1
         assert counter.forced <= bound
 
 
